@@ -474,7 +474,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except PosmonError as exc:
+    except (PosmonError, OSError) as exc:  # bad rationals, unreadable input files
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"schema": SCHEMA_VERSION, **report}

@@ -1,15 +1,13 @@
 """Exact enumeration of factorizations, length slices, and length sets.
 
-The searcher is a depth-first bounded knapsack over the atoms of a truncated
-monoid: atoms are visited in descending order, multiplicities high-first, with
-two prunes.  The value prune discards branches whose remaining value cannot be
-reached by the remaining atoms and length budget.  The valuation prune
-constrains the multiplicity of any atom that is the unique one carrying a
-negative p-adic valuation: such multiplicities must land on a residue class
-mod a power of p, which collapses the Grams-style search space.
-
-Every emitted factorization is re-evaluated against the queried element
-before it leaves this module.
+Factorizations come from the exact search kernel (:mod:`posmon.search`) in
+``all`` mode, over the atoms scaled to integers by the lcm of their
+denominators.  Two prunes apply here: the suffix-gcd residue prune steps each
+multiplicity through one residue class, and under a length budget the next
+atom comes from a bisect window with the last part closed by a lookup, so the
+search depth is bounded by the length.  (The third prune, the exchange bound,
+only serves membership.)  Every emitted factorization is re-evaluated
+against the queried element before it leaves this module.
 """
 
 from __future__ import annotations
@@ -28,11 +26,12 @@ from .monoids import (
     ConductorQ,
     Explicit,
     MonoidSpec,
+    PowerOf,
     SRing,
     contains,
     generators,
 )
-from .rationals import padic_valuation, prime_factors
+from .search import search
 
 __all__ = [
     "Factorization",
@@ -145,9 +144,11 @@ def _sring_grid_atoms(r: Fraction, max_den: int) -> list[Fraction]:
 def atoms_for_query(spec: MonoidSpec) -> list[Fraction]:
     """Atoms of the truncated monoid, ascending.
 
-    Sequence families: the first k generators (their certified atom sets).
-    Explicit: the generators that admit no two-part split.  Dense families:
-    the closed-form atom set restricted to denominators <= max_den.
+    Sequence families: the first k generators (their certified atom sets);
+    a power family whose 1/q is a natural number raises
+    HypothesisViolatedError, as in certified_atoms.  Explicit: the generators
+    that admit no two-part split.  Dense families: the closed-form atom set
+    restricted to denominators <= max_den.
     """
     fam = spec.family
     if isinstance(fam, ConductorQ):
@@ -158,107 +159,19 @@ def atoms_for_query(spec: MonoidSpec) -> list[Fraction]:
         if spec.max_den is None:
             raise UnboundedQueryError("sring family requires a denominator bound")
         return _sring_grid_atoms(fam.r, spec.max_den)
+    if isinstance(fam, PowerOf):
+        fam.check_atom_hypothesis()
     gens = generators(spec)
     if isinstance(fam, Explicit):
-        atoms = []
-        for g in gens:
-            if not any(h < g and contains(spec, g - h).member for h in gens):
-                atoms.append(g)
-        return sorted(atoms)
+        return sorted(g for g in gens if not any(h < g and search(gens, g - h, first=True) for h in gens))
     return sorted(gens)
 
 
-def _valuation_constraints(atoms: list[Fraction], x: Fraction):
-    """Per-atom multiplicity constraints from p-adic valuations.
-
-    For a prime p with exactly one atom a of negative valuation -e, any
-    solution multiplicity m of a satisfies: p^e | m when v_p(x) >= 0, and
-    v_p(m) = e + v_p(x) exactly when v_p(x) < 0.  Returns (constraints,
-    feasible); constraints maps atom index -> list of (p, e, vx).
-    """
-    primes: set[int] = set()
-    for a in atoms:
-        primes.update(prime_factors(a.denominator))
-    constraints: dict[int, list[tuple[int, int, int]]] = {}
-    for p in primes:
-        negative = [i for i, a in enumerate(atoms) if padic_valuation(a, p) < 0]
-        if len(negative) != 1:
-            continue
-        i = negative[0]
-        e = -padic_valuation(atoms[i], p)
-        vx = padic_valuation(x, p) if x != 0 else 0
-        if vx < 0 and e + vx < 0:
-            return constraints, False  # x needs a more negative valuation than any atom offers
-        constraints.setdefault(i, []).append((p, e, vx))
-    # If den(x) has a prime no atom can cancel, there is no solution at all.
-    for p in prime_factors(x.denominator):
-        if all(padic_valuation(a, p) >= 0 for a in atoms):
-            return constraints, False
-    return constraints, True
-
-
-def _mult_allowed(m: int, constraints: list[tuple[int, int, int]]) -> bool:
-    for p, e, vx in constraints:
-        if vx >= 0:
-            if m % p**e != 0:
-                return False
-        else:
-            target = e + vx
-            if m == 0:
-                return False
-            v = 0
-            mm = m
-            while mm % p == 0:
-                mm //= p
-                v += 1
-            if v != target:
-                return False
-    return True
-
-
-def _search(
-    atoms: list[Fraction],
-    x: Fraction,
-    max_len: int | None,
-    exact_len: int | None,
+def _factorizations(
+    atoms: list[Fraction], x: Fraction, max_len: int | None, exact_len: int | None
 ) -> list[Factorization]:
     """All multisets of atoms summing to x, under the requested length regime."""
-    if x == 0:
-        return [Factorization(())] if exact_len in (None, 0) else []
-    desc = sorted(atoms, reverse=True)
-    constraints, feasible = _valuation_constraints(desc, x)
-    if not feasible:
-        return []
-    budget = exact_len if exact_len is not None else max_len
-    out: list[Factorization] = []
-    n = len(desc)
-
-    def rec(i: int, rem: Fraction, left: int | None, prefix: list[tuple[Fraction, int]]):
-        if rem == 0:
-            if exact_len is None or left == 0:
-                out.append(Factorization(tuple(sorted(prefix))))
-            return
-        if i == n:
-            return
-        a = desc[i]
-        cap = int(rem / a)
-        if left is not None:
-            cap = min(cap, left)
-            if rem > left * a:
-                return  # even the largest remaining atom cannot absorb rem
-            if exact_len is not None and rem < left * desc[-1]:
-                return  # forced multiplicities undershoot the required length
-        cons = constraints.get(i, ())
-        for m in range(cap, -1, -1):
-            if cons and not _mult_allowed(m, cons):
-                continue
-            if m:
-                prefix.append((a, m))
-            rec(i + 1, rem - m * a, None if left is None else left - m, prefix)
-            if m:
-                prefix.pop()
-
-    rec(0, x, budget, [])
+    out = [Factorization(parts) for parts in search(atoms, x, max_len=max_len, exact_len=exact_len)]
     for z in out:
         if z.value != x:  # soundness gate on emission
             raise AssertionError(f"engine emitted {z} for {x}")
@@ -285,7 +198,7 @@ def enumerate_factorizations(
             "dense families require max_len (atom grids admit unbounded slices)"
         )
     atoms = atoms_for_query(spec)
-    found = _search(atoms, x, max_len, None)
+    found = _factorizations(atoms, x, max_len, None)
     if spec.is_dense:
         completeness = TRUNCATION_BOUNDED
     elif isinstance(spec.family, Explicit):
@@ -307,7 +220,7 @@ def factorizations_of_length(
     x = Fraction(x)
     _require_member(spec, x)
     atoms = atoms_for_query(spec)
-    found = _search(atoms, x, None, length)
+    found = _factorizations(atoms, x, None, length)
     if spec.is_dense:
         completeness = TRUNCATION_BOUNDED
     elif isinstance(spec.family, Explicit):
@@ -326,7 +239,6 @@ def length_set(
 ) -> tuple[set[int], str]:
     """{|z| : z in Z(x) found}, with the weakest completeness that applies."""
     x = Fraction(x)
-    _require_member(spec, x)
     result = enumerate_factorizations(spec, x, max_len)
     lengths = set(result.lengths)
     if result.completeness == COMPLETE:

@@ -22,7 +22,8 @@ from .errors import (
     NotSequenceGeneratedError,
     UnboundedQueryError,
 )
-from .rationals import is_prime, nth_prime, padic_valuation, prime_factors
+from .rationals import is_prime, nth_prime, padic_valuation, parse_rational, prime_factors
+from .search import search
 
 __all__ = [
     "GeneratorFamily",
@@ -325,40 +326,11 @@ def generators(spec: MonoidSpec, k: int | None = None) -> list[Fraction]:
     return [spec.family.generator(i) for i in range(k)]
 
 
-def _bounded_combination(
-    gens: list[Fraction], x: Fraction
-) -> tuple[tuple[Fraction, int], ...] | None:
-    """One nonnegative-integer combination of gens summing to x, or None.
-
-    Depth-first over generators in descending order, high multiplicities
-    first; depth is bounded by x / min(gens), so the search always halts.
-    """
-    order = sorted(set(gens), reverse=True)
-
-    def rec(i: int, rem: Fraction) -> list[tuple[Fraction, int]] | None:
-        if rem == 0:
-            return []
-        if i == len(order):
-            return None
-        g = order[i]
-        if i == len(order) - 1:
-            m, r = divmod(rem, g)
-            return [(g, int(m))] if r == 0 and m >= 1 else None
-        for m in range(int(rem / g), -1, -1):
-            tail = rec(i + 1, rem - m * g)
-            if tail is not None:
-                return ([(g, m)] if m else []) + tail
-        return None
-
-    combo = rec(0, x)
-    return None if combo is None else tuple(combo)
-
-
 def contains(spec: MonoidSpec, x: Fraction | int | str) -> MembershipResult:
     """Membership verdict with certificate.
 
-    Sequence/explicit families run a bounded exact knapsack over the
-    truncation; dense families use their closed forms.
+    Sequence/explicit families run the search kernel in ``first`` mode over
+    the truncation; dense families use their closed forms.
     """
     x = Fraction(x)
     if x < 0:
@@ -377,11 +349,13 @@ def contains(spec: MonoidSpec, x: Fraction | int | str) -> MembershipResult:
         if x >= fam.r:
             return MembershipResult(True, None, f"{x} >= r = {fam.r}", trunc)
         return MembershipResult(False, None, f"{x} is neither integral nor >= {fam.r}", trunc)
-    gens = generators(spec)
-    combo = _bounded_combination(gens, x)
-    if combo is not None:
-        return MembershipResult(True, combo, "nonnegative integer combination", trunc)
-    return MembershipResult(False, None, "no combination within truncation", trunc)
+    found = search(generators(spec), x, first=True)
+    if not found:
+        return MembershipResult(False, None, "no combination within truncation", trunc)
+    combo = found[0][::-1]
+    if sum((g * m for g, m in combo), Fraction(0)) != x:  # soundness gate
+        raise AssertionError(f"search returned {combo} for {x}")
+    return MembershipResult(True, combo, "nonnegative integer combination", trunc)
 
 
 def _sequence_atom_certificate(spec: MonoidSpec, index: int, k: int) -> str:
@@ -540,22 +514,25 @@ def family_from_config(cfg: dict) -> GeneratorFamily:
             raise InvalidArgumentError("explicit family requires gens")
         if isinstance(raw, str):
             raw = raw.split(",")
-        return Explicit(tuple(Fraction(str(g)) for g in raw))
+        return Explicit(tuple(parse_rational(str(g)) for g in raw))
     if name == "grams":
         return Grams()
     if name == "power":
         if "q" not in cfg:
             raise InvalidArgumentError("power family requires q")
-        return PowerOf(Fraction(str(cfg["q"])))
+        return PowerOf(parse_rational(str(cfg["q"])))
     if name == "unit-fractions":
         return UnitFractionPrimes()
     if name == "alternating":
         primes = cfg.get("primes")
         if isinstance(primes, str):
-            primes = [int(p) for p in primes.split(",")]
+            try:
+                primes = [int(p) for p in primes.split(",")]
+            except ValueError as exc:
+                raise InvalidArgumentError(f"not a list of integers: {primes!r}") from exc
         return Alternating(tuple(primes) if primes else None)
     if name == "conductor":
         return ConductorQ()
     if "r" not in cfg:
         raise InvalidArgumentError("sring family requires r")
-    return SRing(Fraction(str(cfg["r"])))
+    return SRing(parse_rational(str(cfg["r"])))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidArgumentError
+
 __all__ = [
     "Rational",
     "parse_rational",
@@ -36,7 +38,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+        raise InvalidArgumentError(f"not a rational literal: {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:

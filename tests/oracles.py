@@ -1,6 +1,7 @@
 """Independent brute-force oracles for cross-checking the engines.
 
-Deliberately naive: plain recursion in ascending order, no valuation pruning,
+Deliberately naive: plain recursion in ascending order (or, for membership
+over large grids, a plain bitset knapsack), no valuation or residue pruning,
 no length certificates, no shared code with the implementations under test.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 def naive_member(gens: list[Fraction], x: Fraction) -> bool:
@@ -17,6 +19,27 @@ def naive_member(gens: list[Fraction], x: Fraction) -> bool:
     if x < 0:
         return False
     return any(naive_member(gens, x - g) for g in gens if g <= x)
+
+
+def dp_member(gens, x) -> bool:
+    """Membership by an unbounded-knapsack bitset over the common grid.
+
+    Bit n of ``reach`` says n/scale is a sum of generators; each generator is
+    added with doubling shifts, so every multiplicity up to the target is
+    covered.  Cost grows with x*scale, not with the number of orderings.
+    """
+    gens = [Fraction(g) for g in gens]
+    x = Fraction(x)
+    scale = lcm(x.denominator, *(g.denominator for g in gens))
+    target = int(x * scale)
+    mask = (1 << (target + 1)) - 1
+    reach = 1
+    for g in gens:
+        shift = int(g * scale)
+        while shift <= target:
+            reach |= (reach << shift) & mask
+            shift *= 2
+    return bool(reach >> target & 1)
 
 
 def naive_is_decomposable(gens: list[Fraction], g: Fraction) -> bool:
@@ -30,10 +53,18 @@ def naive_atoms(gens) -> list[Fraction]:
 
 
 def naive_factorizations(
-    gens, x: Fraction, max_len: int | None = None, exact_len: int | None = None
+    gens,
+    x: Fraction,
+    max_len: int | None = None,
+    exact_len: int | None = None,
+    atoms=None,
 ) -> set[tuple[Fraction, ...]]:
-    """All multisets of atoms (ascending tuples) summing to x."""
-    atoms = naive_atoms(gens)
+    """All multisets of atoms (ascending tuples) summing to x.
+
+    ``atoms`` skips the atom computation when the atoms are known already,
+    as for the named sequence families, whose generators are their atoms.
+    """
+    atoms = naive_atoms(gens) if atoms is None else sorted(set(atoms))
     x = Fraction(x)
     out: set[tuple[Fraction, ...]] = set()
 

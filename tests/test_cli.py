@@ -79,6 +79,18 @@ class TestFactorizeCommand:
         proc = run_cli("factorize", "--family", "explicit", "--gens", "2,3")
         assert proc.returncode == 1  # missing --x
 
+    def test_bad_input_ends_in_an_error_line(self, tmp_path):
+        for argv, prefix in (
+            (("factorize", "--family", "explicit", "--gens", "2,3", "--x", "abc"), "error:"),
+            (("factorize", "--family", "explicit", "--gens", "a,3", "--x", "6"), "usage error:"),
+            (("factorize", "--family", "alternating", "--primes", "a,3", "--k", "2", "--x", "1"), "usage error:"),
+            (("seq", "lis", "--input", str(tmp_path / "missing.txt")), "error:"),
+        ):
+            proc = run_cli(*argv)
+            assert proc.returncode == 1, argv
+            assert proc.stderr.startswith(prefix), (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, argv
+
 
 class TestOtherQueries:
     def test_lengths(self):
