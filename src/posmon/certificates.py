@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
 
 from .errors import BoundTooSmallError, HypothesisViolatedError, InvalidArgumentError, NotAMemberError
-from .factorize import length_set
+from .factorize import factorizations_of_length, length_set
 from .monoids import (
     Alternating,
     ConductorQ,
@@ -62,10 +61,6 @@ class Certificate:
         }
 
 
-def _as_str(x) -> str:
-    return str(x)
-
-
 def accp_chain(family: GeneratorFamily, n_max: int) -> Certificate:
     """Witness an ascending chain of principal ideals b_n + M that never
     stabilizes: each step verifies b_n = b_{n+1} + delta_n exactly, with
@@ -86,9 +81,9 @@ def accp_chain(family: GeneratorFamily, n_max: int) -> Certificate:
             steps.append(
                 {
                     "n": n,
-                    "b_n": _as_str(b_n),
-                    "b_next": _as_str(b_next),
-                    "delta": _as_str(delta),
+                    "b_n": str(b_n),
+                    "b_next": str(b_next),
+                    "delta": str(delta),
                     "delta_membership": f"{p} * (1/(2^{n + 1}*{p}))",
                 }
             )
@@ -106,13 +101,13 @@ def accp_chain(family: GeneratorFamily, n_max: int) -> Certificate:
             steps.append(
                 {
                     "n": n,
-                    "b_n": _as_str(b_n),
-                    "b_next": _as_str(b_next),
-                    "delta": _as_str(delta),
+                    "b_n": str(b_n),
+                    "b_next": str(b_next),
+                    "delta": str(delta),
                     "delta_membership": f"{den - num} * q^{n}",
                 }
             )
-        params = {"n_max": n_max, "q": _as_str(q)}
+        params = {"n_max": n_max, "q": str(q)}
     else:
         raise InvalidArgumentError(
             "non-stabilizing chains are certified for the grams and power families"
@@ -143,7 +138,7 @@ def bf_violation_unit_fractions(max_prime: int) -> Certificate:
         value = p * Fraction(1, p)
         if value != 1:
             raise AssertionError("unit-fraction witness failed to re-verify")
-        witnesses.append({"p": p, "factorization": [[_as_str(Fraction(1, p)), p]]})
+        witnesses.append({"p": p, "factorization": [[str(Fraction(1, p)), p]]})
     verified = lengths == expected
     return Certificate(
         claim="bf-fails",
@@ -154,33 +149,20 @@ def bf_violation_unit_fractions(max_prime: int) -> Certificate:
     )
 
 
-def _conductor_pairs(x: Fraction, max_den: int) -> list[tuple[Fraction, Fraction]]:
+def _sring_additive_pairs(fam: SRing, x: Fraction, max_den: int) -> list[tuple[Fraction, Fraction]]:
+    """Unordered pairs (a, x - a) of additive atoms with den(a) <= max_den.
+
+    The cofactor's denominator is not bounded, unlike in the length-2
+    factorization slice, which bounds both parts'; for a non-integral x the
+    slice can find fewer pairs.
+    """
     pairs = []
-    for d in range(1, max_den + 1):
-        n = d  # a = n/d starts at 1
-        while Fraction(n, d) * 2 <= x:
-            a = Fraction(n, d)
-            if a.denominator == d:
-                b = x - a
-                if 1 <= a < 2 and 1 <= b < 2:
-                    pairs.append((a, b))
-            n += 1
-    return sorted(set(pairs))
-
-
-def _sring_additive_pairs(r: Fraction, x: Fraction, max_den: int) -> list[tuple[Fraction, Fraction]]:
-    c = ceil(r)
-    pairs = []
-
-    def additive_atom(a: Fraction) -> bool:
-        return (a == 1 or r <= a < r + 1) and a != c
-
     for d in range(1, max_den + 1):
         for n in range(1, int(x * d) + 1):
             a = Fraction(n, d)
             if a.denominator != d or 2 * a > x:
                 continue
-            if additive_atom(a) and additive_atom(x - a):
+            if fam.is_atom(a) and fam.is_atom(x - a):
                 pairs.append((a, x - a))
     return sorted(set(pairs))
 
@@ -228,23 +210,30 @@ def lff_violation(target: str, spec: MonoidSpec, max_den: int | None = None, s: 
         if not isinstance(spec.family, ConductorQ):
             raise InvalidArgumentError("conductor target needs the conductor family")
         x = Fraction(3)
-        pairs = _conductor_pairs(x, max_den)
-        half_pairs = _conductor_pairs(x, max_den // 2) if max_den // 2 >= 1 else []
+
+        def conductor_pairs(bound: int) -> list[tuple[Fraction, ...]]:
+            # x is an integer, so a and x - a share a denominator: bounding
+            # both parts' denominators (the slice) bounds the first part's.
+            slice_ = factorizations_of_length(MonoidSpec(spec.family, max_den=bound), x, 2)
+            return [z.expanded() for z in slice_]
+
+        pairs = conductor_pairs(max_den)
+        half_pairs = conductor_pairs(max_den // 2) if max_den // 2 >= 1 else []
         for a, b in pairs:
             if a + b != x or not is_atom(spec, a).is_atom or not is_atom(spec, b).is_atom:
                 raise AssertionError("conductor witness failed to re-verify")
-        params: dict = {"x": _as_str(x), "length": 2, "max_den": max_den}
+        params: dict = {"x": str(x), "length": 2, "max_den": max_den}
     elif target == "sring-additive":
         if not isinstance(spec.family, SRing):
             raise InvalidArgumentError("sring target needs the sring family")
         r = spec.family.r
         x = 2 * r + 1
-        pairs = _sring_additive_pairs(r, x, max_den)
-        half_pairs = _sring_additive_pairs(r, x, max_den // 2) if max_den // 2 >= 1 else []
+        pairs = _sring_additive_pairs(spec.family, x, max_den)
+        half_pairs = _sring_additive_pairs(spec.family, x, max_den // 2) if max_den // 2 >= 1 else []
         for a, b in pairs:
             if a + b != x or not is_atom(spec, a).is_atom or not is_atom(spec, b).is_atom:
                 raise AssertionError("sring additive witness failed to re-verify")
-        params = {"x": _as_str(x), "length": 2, "max_den": max_den, "r": _as_str(r)}
+        params = {"x": str(x), "length": 2, "max_den": max_den, "r": str(r)}
     elif target == "sring-multiplicative":
         if not isinstance(spec.family, SRing):
             raise InvalidArgumentError("sring target needs the sring family")
@@ -262,11 +251,11 @@ def lff_violation(target: str, spec: MonoidSpec, max_den: int | None = None, s: 
             if u * v != s * s:
                 raise AssertionError("sring multiplicative witness failed to re-verify")
         params = {
-            "x": _as_str(s * s),
-            "s": _as_str(s),
+            "x": str(s * s),
+            "s": str(s),
             "length": 2,
             "max_den": max_den,
-            "r": _as_str(r),
+            "r": str(r),
         }
     else:
         raise InvalidArgumentError(f"unknown target {target!r}")
@@ -283,7 +272,7 @@ def lff_violation(target: str, spec: MonoidSpec, max_den: int | None = None, s: 
         witness={
             "count": len(pairs),
             "count_at_half_bound": len(half_pairs),
-            "pairs": [[_as_str(a), _as_str(b)] for a, b in pairs],
+            "pairs": [[str(a), str(b)] for a, b in pairs],
         },
         verified=grew,
     )
@@ -304,9 +293,10 @@ def ffm_divisor_bound_alternating(spec: MonoidSpec, x: Fraction | int | str) -> 
     fam = spec.family
     k = spec.sequence_bound()
     den_primes = prime_factors(x.denominator)
+    # Indices i are the 1-based a_i, p_i of the claim; the family's are 0-based.
     n_x = 1
     for i in range(1, k + 1):
-        if fam.index_prime(i) in den_primes:
+        if fam.index_prime(i - 1) in den_primes:
             n_x = i + 1
     bound = max(Fraction(n_x), x + 1)
     divisors = []
@@ -317,17 +307,17 @@ def ffm_divisor_bound_alternating(spec: MonoidSpec, x: Fraction | int | str) -> 
     checks = []
     ok = True
     for i in divisors:
-        p_i = fam.index_prime(i)
+        p_i = fam.index_prime(i - 1)
         within = i < n_x or p_i <= x + 1
         ok = ok and within and Fraction(i) <= bound
         checks.append({"index": i, "prime": p_i, "within_bound": within})
     return Certificate(
         claim="ffm-divisor-bound",
         family=fam.descriptor(),
-        parameters={"x": _as_str(x), "k": k},
+        parameters={"x": str(x), "k": k},
         witness={
             "n_x": n_x,
-            "bound": _as_str(bound),
+            "bound": str(bound),
             "divisor_indices": divisors,
             "checks": checks,
         },
@@ -408,7 +398,7 @@ def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
                 "FF": _entry("no", "implied:FF->BF"),
                 "LFF": _entry("no", "definition:length-finiteness-presumes-atomicity"),
             }
-            params["q"] = _as_str(fam.q)
+            params["q"] = str(fam.q)
             return _finish_classification(spec, params, table)
         accp = accp_chain(fam, 3)
         table = {
@@ -418,7 +408,7 @@ def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
             "FF": _entry("no", "implied:FF->BF"),
             "LFF": _entry("yes", "theorem:atomic-co-well-ordered-monoids-are-length-finite"),
         }
-        params["q"] = _as_str(fam.q)
+        params["q"] = str(fam.q)
     elif isinstance(fam, UnitFractionPrimes):
         bf = bf_violation_unit_fractions(13)
         table = {
@@ -465,7 +455,7 @@ def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
             "FF": _entry("no", "implied-contrapositive:FF->LFF"),
             "LFF": _entry("no", "witness:length-2-factorizations-grow" if lff.verified else "unverified"),
         }
-        params["r"] = _as_str(fam.r)
+        params["r"] = str(fam.r)
     else:
         table = {p: _entry("unknown", "family-outside-certified-table") for p in PROPERTIES}
     return _finish_classification(spec, params, table)

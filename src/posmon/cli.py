@@ -16,6 +16,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
+from . import __version__
 from . import battery as battery_mod
 from .certificates import (
     accp_chain,
@@ -78,7 +79,10 @@ def _merged_family_options(args) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise UsageError(f"--config is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("--config must contain a JSON object")
         cfg.update(loaded)
@@ -184,6 +188,16 @@ def _cache_dir(args) -> str | None:
     if getattr(args, "no_cache", False):
         return None
     return getattr(args, "cache_dir", None) or os.environ.get("POSMON_CACHE_DIR")
+
+
+def _cache_descriptor(args) -> dict:
+    """Everything a report depends on: the merged family options and the
+    parsed --input sequences (so an edited --config or input file is a new
+    key), the query flags, the report schema and the engine version."""
+    query = {k: v for k, v in vars(args).items() if k not in ("runner", "cache_dir", "no_cache", "config")}
+    if getattr(args, "input", None):
+        query["input"] = [[str(t) for t in _read_sequence(path)] for path in args.input]
+    return {"schema": SCHEMA_VERSION, "version": __version__, "family": _merged_family_options(args), "query": query}
 
 
 def cache_key(descriptor: dict) -> str:
@@ -301,13 +315,8 @@ def _run_check(args) -> tuple[dict, int]:
             raise UsageError("check ffm-bound requires --x")
         cert = ffm_divisor_bound_alternating(spec, parse_rational(args.x))
     else:  # classify
-        name = cfg.get("family")
-        if name in ("grams", "unit-fractions", "alternating", "conductor", "power", "sring", "explicit"):
-            defaults = {"grams": {"k": 4}, "alternating": {"k": 10}, "conductor": {"max_den": 4}, "sring": {"max_den": 6}}
-            merged = {**defaults.get(name, {}), **{k: v for k, v in cfg.items() if v is not None}}
-            spec = build_spec(merged)
-        else:
-            spec = build_spec(cfg)
+        defaults = {"grams": {"k": 4}, "alternating": {"k": 10}, "conductor": {"max_den": 4}, "sring": {"max_den": 6}}
+        spec = build_spec({**defaults.get(cfg.get("family"), {}), **{k: v for k, v in cfg.items() if v is not None}})
         cert = classify(spec, structure=args.structure)
     report = cert.to_jsonable()
     return report, 0 if cert.verified else 2
@@ -456,25 +465,19 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     directory = _cache_dir(args)
-    key = None
-    if directory is not None:
-        descriptor = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("runner", "cache_dir", "no_cache") and not callable(v)
-        }
-        key = cache_key(descriptor)
-        cached = _cache_lookup(directory, key)
-        if cached is not None:
-            sys.stdout.write(cached)
-            print(f"cache hit: {key}", file=sys.stderr)
-            return 0
     try:
+        if directory is not None:
+            key = cache_key(_cache_descriptor(args))
+            cached = _cache_lookup(directory, key)
+            if cached is not None:
+                sys.stdout.write(cached)
+                print(f"cache hit: {key}", file=sys.stderr)
+                return 0
         report, status = args.runner(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PosmonError, OSError) as exc:  # bad rationals, unreadable input files
+    except (PosmonError, OSError) as exc:  # bad rationals, unreadable input or config files
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"schema": SCHEMA_VERSION, **report}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 from .errors import (
     CertificateUnavailableError,
@@ -22,15 +21,7 @@ from .errors import (
     NotAMemberError,
     UnboundedQueryError,
 )
-from .monoids import (
-    ConductorQ,
-    Explicit,
-    MonoidSpec,
-    PowerOf,
-    SRing,
-    contains,
-    generators,
-)
+from .monoids import DECREASING, FINITE, MonoidSpec, _split, contains, generators
 from .search import search
 
 __all__ = [
@@ -118,52 +109,24 @@ class QueryResult:
         return len(self.factorizations)
 
 
-def _conductor_grid_atoms(max_den: int) -> list[Fraction]:
-    atoms = []
-    for d in range(1, max_den + 1):
-        for n in range(d, 2 * d):
-            a = Fraction(n, d)
-            if a.denominator == d and 1 <= a < 2:
-                atoms.append(a)
-    return sorted(set(atoms))
-
-
-def _sring_grid_atoms(r: Fraction, max_den: int) -> list[Fraction]:
-    atoms = [Fraction(1)]
-    c = ceil(r)
-    for d in range(1, max_den + 1):
-        n = ceil(r * d)
-        while Fraction(n, d) < r + 1:
-            a = Fraction(n, d)
-            if a.denominator == d and a != c:
-                atoms.append(a)
-            n += 1
-    return sorted(set(atoms))
-
-
 def atoms_for_query(spec: MonoidSpec) -> list[Fraction]:
     """Atoms of the truncated monoid, ascending.
 
     Sequence families: the first k generators (their certified atom sets);
-    a power family whose 1/q is a natural number raises
-    HypothesisViolatedError, as in certified_atoms.  Explicit: the generators
-    that admit no two-part split.  Dense families: the closed-form atom set
-    restricted to denominators <= max_den.
+    a family whose atom hypothesis fails (a power family whose 1/q is a
+    natural number) raises HypothesisViolatedError, as in certified_atoms.
+    Explicit: the generators that admit no two-part split.  Dense families:
+    the closed-form atom set restricted to denominators <= max_den.
     """
     fam = spec.family
-    if isinstance(fam, ConductorQ):
+    if fam.dense:
         if spec.max_den is None:
-            raise UnboundedQueryError("conductor family requires a denominator bound")
-        return _conductor_grid_atoms(spec.max_den)
-    if isinstance(fam, SRing):
-        if spec.max_den is None:
-            raise UnboundedQueryError("sring family requires a denominator bound")
-        return _sring_grid_atoms(fam.r, spec.max_den)
-    if isinstance(fam, PowerOf):
-        fam.check_atom_hypothesis()
+            raise UnboundedQueryError(f"{fam.name} family requires a denominator bound")
+        return fam.grid_atoms(spec.max_den)
+    fam.check_atom_hypothesis()
     gens = generators(spec)
-    if isinstance(fam, Explicit):
-        return sorted(g for g in gens if not any(h < g and search(gens, g - h, first=True) for h in gens))
+    if fam.monotonicity == FINITE:
+        return sorted(g for g in gens if _split(gens, g) is None)
     return sorted(gens)
 
 
@@ -199,15 +162,12 @@ def enumerate_factorizations(
         )
     atoms = atoms_for_query(spec)
     found = _factorizations(atoms, x, max_len, None)
-    if spec.is_dense:
-        completeness = TRUNCATION_BOUNDED
-    elif isinstance(spec.family, Explicit):
+    completeness = TRUNCATION_BOUNDED
+    if spec.family.monotonicity == FINITE:
         if max_len is None or max_len >= _max_possible_length(atoms, x):
             completeness = COMPLETE
         else:
             completeness = COMPLETE_FOR_LENGTH
-    else:
-        completeness = TRUNCATION_BOUNDED
     return QueryResult(tuple(found), completeness, spec.descriptor())
 
 
@@ -221,16 +181,11 @@ def factorizations_of_length(
     _require_member(spec, x)
     atoms = atoms_for_query(spec)
     found = _factorizations(atoms, x, None, length)
-    if spec.is_dense:
-        completeness = TRUNCATION_BOUNDED
-    elif isinstance(spec.family, Explicit):
-        completeness = COMPLETE_FOR_LENGTH
-    else:
-        try:
-            certified, _ = completeness_certificate(spec, x, length)
-        except CertificateUnavailableError:
-            certified = False
-        completeness = COMPLETE_FOR_LENGTH if certified else TRUNCATION_BOUNDED
+    try:
+        certified, _ = completeness_certificate(spec, x, length)
+    except CertificateUnavailableError:
+        certified = False
+    completeness = COMPLETE_FOR_LENGTH if certified else TRUNCATION_BOUNDED
     return QueryResult(tuple(found), completeness, spec.descriptor())
 
 
@@ -243,7 +198,7 @@ def length_set(
     lengths = set(result.lengths)
     if result.completeness == COMPLETE:
         return lengths, COMPLETE
-    if not spec.is_dense and not isinstance(spec.family, Explicit) and max_len is not None:
+    if max_len is not None:
         try:
             if all(completeness_certificate(spec, x, l)[0] for l in range(1, max_len + 1)):
                 return lengths, COMPLETE_FOR_LENGTH
@@ -267,9 +222,9 @@ def completeness_certificate(
     """
     x = Fraction(x)
     fam = spec.family
-    if isinstance(fam, Explicit):
+    if fam.monotonicity == FINITE:
         return True, None  # no truncation: vacuously certified
-    if fam.monotonicity != "decreasing":
+    if fam.monotonicity != DECREASING:
         raise CertificateUnavailableError(
             f"{fam.name} truncations are not ordered by atom size; no certificate"
         )

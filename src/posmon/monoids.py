@@ -1,19 +1,31 @@
 """Positive monoids given by generator families, with certified truncations.
 
 A monoid is described by a :class:`GeneratorFamily` plus a truncation policy
-(:class:`MonoidSpec`).  Sequence families (Grams, powers of q, unit fractions
-over primes, the alternating family) expose their first ``k`` generators
-exactly.  Dense families (the conductor monoid {0} u Q>=1 and the rational
-semiring S_r = N0 u Q>=r) are never enumerated; membership and atomhood route
-to closed forms, and factorization queries restrict atoms to a rational grid
-of bounded denominator.
+(:class:`MonoidSpec`).  Each family's closed forms live on its class; the
+queries (``contains``, ``is_atom``, ``certified_atoms`` and
+``factorize.atoms_for_query``) dispatch on ``dense``, ``monotonicity`` and
+``check_atom_hypothesis()``, never on the concrete class.
+
+* Dense families (the conductor monoid {0} u Q>=1 and the rational semiring
+  S_r = N0 u Q>=r) are never enumerated.  Each writes its ``membership``
+  rule, its ``is_atom`` predicate and its ``atom_window`` once; the shared
+  dense base builds the atom grid of bounded denominator (``grid_atoms``).
+* Sequence families (Grams, powers of q, unit fractions over primes, the
+  alternating family) expose their first ``k`` generators exactly; each
+  generator's atomhood is machine-checked by the family's
+  ``atom_certificate`` under its ``method`` label.  The three prime-indexed
+  families share one p-adic certificate; the power family checks its
+  valuation profile.
+* Explicit families (``monotonicity == FINITE``) carry no truncation; their
+  atoms are the generators with no two-part split, one search kernel call
+  per candidate split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 from .errors import (
     HypothesisViolatedError,
@@ -68,6 +80,14 @@ class GeneratorFamily:
         """Number of generators when finite, else None."""
         return None
 
+    def check_atom_hypothesis(self) -> None:
+        """Raise HypothesisViolatedError when the family's atom closed form
+        does not apply; the base family has no hypothesis."""
+
+    def atom_certificate(self, gens: list[Fraction], index: int) -> str:
+        """Machine-check that gens[index] is an atom; returns the certificate."""
+        raise InvalidArgumentError(f"{self.name} has no per-generator atom certificate")
+
     def descriptor(self) -> dict:
         return {"name": self.name}
 
@@ -102,15 +122,32 @@ class Explicit(GeneratorFamily):
         return {"name": self.name, "gens": [str(g) for g in self.gens]}
 
 
+class _PrimeIndexed(GeneratorFamily):
+    """A family whose generator n (0-based) is the only generator with the
+    prime ``index_prime(n)`` in its denominator."""
+
+    method = "p-adic-certificate"
+
+    def atom_certificate(self, gens: list[Fraction], index: int) -> str:
+        # The generator must be the unique one among gens whose
+        # attached-prime valuation is negative.
+        p = self.index_prime(index)
+        if padic_valuation(gens[index], p) >= 0:
+            raise AssertionError(f"certificate failed: v_{p}({gens[index]}) is not negative")
+        if any(padic_valuation(h, p) < 0 for i, h in enumerate(gens) if i != index):
+            raise AssertionError(f"certificate failed: {p}-adic uniqueness violated")
+        return f"unique generator with negative {p}-adic valuation"
+
+
 @dataclass(frozen=True)
-class Grams(GeneratorFamily):
+class Grams(_PrimeIndexed):
     """Generators 1/(2^n p_n), p_n the n-th odd prime, n >= 0."""
 
     name = "grams"
     monotonicity = DECREASING
 
     def generator(self, n: int) -> Fraction:
-        return Fraction(1, 2**n * nth_prime(n, exclude_two=True))
+        return Fraction(1, 2**n * self.index_prime(n))
 
     def index_prime(self, n: int) -> int:
         return nth_prime(n, exclude_two=True)
@@ -123,6 +160,7 @@ class PowerOf(GeneratorFamily):
     q: Fraction
     name = "power"
     monotonicity = DECREASING
+    method = "closed-form"
 
     def __init__(self, q):
         q = Fraction(q)
@@ -142,26 +180,38 @@ class PowerOf(GeneratorFamily):
                 "atoms of <q^n> are not certified for this q"
             )
 
+    def atom_certificate(self, gens: list[Fraction], index: int) -> str:
+        # The generators' valuations at a prime dividing den(q) are pairwise
+        # distinct, and q^n is the unique generator at its own valuation.
+        self.check_atom_hypothesis()
+        p = min(prime_factors(self.q.denominator))
+        vals = [padic_valuation(h, p) for h in gens]
+        if len(set(vals)) != len(vals):
+            raise AssertionError("certificate failed: valuations collide")
+        if vals[index] != -index * padic_valuation(Fraction(self.q.denominator), p):
+            raise AssertionError("certificate failed: wrong valuation profile")
+        return f"generators separated by {p}-adic valuation; closed form certified"
+
     def descriptor(self) -> dict:
         return {"name": self.name, "q": str(self.q)}
 
 
 @dataclass(frozen=True)
-class UnitFractionPrimes(GeneratorFamily):
+class UnitFractionPrimes(_PrimeIndexed):
     """Generators 1/p over the primes p in increasing order."""
 
     name = "unit-fractions"
     monotonicity = DECREASING
 
     def generator(self, n: int) -> Fraction:
-        return Fraction(1, nth_prime(n + 1))
+        return Fraction(1, self.index_prime(n))
 
     def index_prime(self, n: int) -> int:
         return nth_prime(n + 1)
 
 
 @dataclass(frozen=True)
-class Alternating(GeneratorFamily):
+class Alternating(_PrimeIndexed):
     """Generators a_n = 1 + (-1)^n / p_n over a strictly increasing prime sequence.
 
     Defaults to the full prime sequence p_1 = 2, p_2 = 3, ...; any strictly
@@ -186,17 +236,15 @@ class Alternating(GeneratorFamily):
             object.__setattr__(self, "primes", ps)
 
     def index_prime(self, n: int) -> int:
-        """The prime p_n attached to generator a_n (1-based)."""
+        """The prime attached to generator n (0-based): p_{n+1} above."""
         if self.primes is not None:
-            if not 1 <= n <= len(self.primes):
-                raise InvalidArgumentError(f"index {n} outside custom prime sequence")
-            return self.primes[n - 1]
-        return nth_prime(n)
+            if not 0 <= n < len(self.primes):
+                raise InvalidArgumentError(f"index {n + 1} outside custom prime sequence")
+            return self.primes[n]
+        return nth_prime(n + 1)
 
     def generator(self, n: int) -> Fraction:
-        # 1-based internally; generator(i) below maps from 0-based position.
-        p = self.index_prime(n + 1)
-        return 1 + Fraction((-1) ** (n + 1), p)
+        return 1 + Fraction((-1) ** (n + 1), self.index_prime(n))
 
     def generator_count(self) -> int | None:
         return None if self.primes is None else len(self.primes)
@@ -208,17 +256,42 @@ class Alternating(GeneratorFamily):
         return d
 
 
-@dataclass(frozen=True)
-class ConductorQ(GeneratorFamily):
-    """The dense positive monoid {0} u (Q intersect [1, oo))."""
+class _Dense(GeneratorFamily):
+    """A family whose membership and atoms are closed forms.  Subclasses
+    define ``membership(x)`` (verdict and reason, x > 0), ``is_atom(a)`` (for
+    a member a > 0; ``atom_rule`` describes it) and ``atom_window(d)`` (the
+    numerators n for which n/d can be an atom)."""
 
-    name = "conductor"
     dense = True
     monotonicity = DENSE
 
+    def grid_atoms(self, max_den: int) -> list[Fraction]:
+        """The atoms with denominator <= max_den, ascending."""
+        grid = (Fraction(n, d) for d in range(1, max_den + 1) for n in self.atom_window(d) if gcd(n, d) == 1)
+        return sorted(a for a in grid if self.is_atom(a))
+
 
 @dataclass(frozen=True)
-class SRing(GeneratorFamily):
+class ConductorQ(_Dense):
+    """The dense positive monoid {0} u (Q intersect [1, oo))."""
+
+    name = "conductor"
+    atom_rule = "atoms are Q intersect [1,2)"
+
+    def membership(self, x: Fraction) -> tuple[bool, str]:
+        if x >= 1:
+            return True, f"{x} >= 1"
+        return False, f"0 < {x} < 1"
+
+    def is_atom(self, a: Fraction) -> bool:
+        return 1 <= a < 2
+
+    def atom_window(self, d: int):
+        return range(d, 2 * d)
+
+
+@dataclass(frozen=True)
+class SRing(_Dense):
     """The rational points of S_r = N0 u R>=r for rational r > 1.
 
     Both a positive monoid (additively) and a positive semiring; the
@@ -227,14 +300,27 @@ class SRing(GeneratorFamily):
 
     r: Fraction
     name = "sring"
-    dense = True
-    monotonicity = DENSE
+    atom_rule = "atoms are ({1} u [r,r+1)) minus {ceil(r)}"
 
     def __init__(self, r):
         r = Fraction(r)
         if r <= 1:
             raise InvalidArgumentError("sring family needs rational r > 1")
         object.__setattr__(self, "r", r)
+
+    def membership(self, x: Fraction) -> tuple[bool, str]:
+        if x.denominator == 1:
+            return True, f"{x} is a nonnegative integer"
+        if x >= self.r:
+            return True, f"{x} >= r = {self.r}"
+        return False, f"{x} is neither integral nor >= {self.r}"
+
+    def is_atom(self, a: Fraction) -> bool:
+        return (a == 1 or self.r <= a < self.r + 1) and a != ceil(self.r)
+
+    def atom_window(self, d: int):
+        window = range(ceil(self.r * d), ceil((self.r + 1) * d))  # [r, r+1)
+        return (1, *window) if d == 1 else window
 
     def descriptor(self) -> dict:
         return {"name": self.name, "r": str(self.r)}
@@ -264,13 +350,13 @@ class MonoidSpec:
         return self.family.dense
 
     def sequence_bound(self) -> int:
-        if isinstance(self.family, Explicit):
-            return len(self.family.gens)
+        count = self.family.generator_count()
+        if self.family.monotonicity == FINITE:
+            return count
         if self.is_dense:
             raise NotSequenceGeneratedError(
                 f"{self.family.name} is dense: it has no generator sequence"
             )
-        count = self.family.generator_count()
         if self.k is None:
             if count is None:
                 raise UnboundedQueryError(
@@ -326,6 +412,22 @@ def generators(spec: MonoidSpec, k: int | None = None) -> list[Fraction]:
     return [spec.family.generator(i) for i in range(k)]
 
 
+def _combination(gens: list[Fraction], x: Fraction) -> tuple[tuple[Fraction, int], ...] | None:
+    """One multiset of gens summing to x > 0, as (generator, multiplicity)
+    pairs ascending, or None; re-summed in Fraction before it is returned."""
+    found = search(gens, x, first=True)
+    if not found:
+        return None
+    if sum((g * m for g, m in found[0]), Fraction(0)) != x:  # soundness gate
+        raise AssertionError(f"search returned {found[0]} for {x}")
+    return found[0]
+
+
+def _split(gens: list[Fraction], x: Fraction) -> Fraction | None:
+    """The first generator g < x (in gens order) with x - g a sum of gens, or None."""
+    return next((g for g in gens if g < x and _combination(gens, x - g) is not None), None)
+
+
 def contains(spec: MonoidSpec, x: Fraction | int | str) -> MembershipResult:
     """Membership verdict with certificate.
 
@@ -338,59 +440,13 @@ def contains(spec: MonoidSpec, x: Fraction | int | str) -> MembershipResult:
     trunc = spec.descriptor()
     if x == 0:
         return MembershipResult(True, (), "identity element", trunc)
-    fam = spec.family
-    if isinstance(fam, ConductorQ):
-        if x >= 1:
-            return MembershipResult(True, None, f"{x} >= 1", trunc)
-        return MembershipResult(False, None, f"0 < {x} < 1", trunc)
-    if isinstance(fam, SRing):
-        if x.denominator == 1:
-            return MembershipResult(True, None, f"{x} is a nonnegative integer", trunc)
-        if x >= fam.r:
-            return MembershipResult(True, None, f"{x} >= r = {fam.r}", trunc)
-        return MembershipResult(False, None, f"{x} is neither integral nor >= {fam.r}", trunc)
-    found = search(generators(spec), x, first=True)
-    if not found:
+    if spec.is_dense:
+        member, reason = spec.family.membership(x)
+        return MembershipResult(member, None, reason, trunc)
+    combo = _combination(generators(spec), x)
+    if combo is None:
         return MembershipResult(False, None, "no combination within truncation", trunc)
-    combo = found[0][::-1]
-    if sum((g * m for g, m in combo), Fraction(0)) != x:  # soundness gate
-        raise AssertionError(f"search returned {combo} for {x}")
-    return MembershipResult(True, combo, "nonnegative integer combination", trunc)
-
-
-def _sequence_atom_certificate(spec: MonoidSpec, index: int, k: int) -> str:
-    """Machine-check the valuation certificate for generator ``index`` (0-based).
-
-    For prime-indexed families the generator must be the unique one among the
-    first k whose attached-prime valuation is negative.  For the power family
-    the generators' valuations at a prime dividing den(q) are pairwise
-    distinct, and q^n is the unique generator at its own valuation.
-    """
-    fam = spec.family
-    gens = [fam.generator(i) for i in range(max(k, index + 1))]
-    g = gens[index]
-    if isinstance(fam, (Grams, UnitFractionPrimes, Alternating)):
-        if isinstance(fam, Alternating):
-            p = fam.index_prime(index + 1)
-        else:
-            p = fam.index_prime(index)
-        if padic_valuation(g, p) >= 0:
-            raise AssertionError(f"certificate failed: v_{p}({g}) is not negative")
-        others = [h for i, h in enumerate(gens) if i != index]
-        if any(padic_valuation(h, p) < 0 for h in others):
-            raise AssertionError(f"certificate failed: {p}-adic uniqueness violated")
-        return f"unique generator with negative {p}-adic valuation"
-    if isinstance(fam, PowerOf):
-        fam.check_atom_hypothesis()
-        p = min(prime_factors(fam.q.denominator))
-        vals = [padic_valuation(h, p) for h in gens]
-        if len(set(vals)) != len(vals):
-            raise AssertionError("certificate failed: valuations collide")
-        expected = -index * padic_valuation(Fraction(fam.q.denominator), p)
-        if vals[index] != expected:
-            raise AssertionError("certificate failed: wrong valuation profile")
-        return f"generators separated by {p}-adic valuation; closed form certified"
-    raise InvalidArgumentError(f"{fam.name} has no per-generator atom certificate")
+    return MembershipResult(True, combo[::-1], "nonnegative integer combination", trunc)
 
 
 def certified_atoms(spec: MonoidSpec, k: int) -> tuple[list[Fraction], str]:
@@ -398,7 +454,7 @@ def certified_atoms(spec: MonoidSpec, k: int) -> tuple[list[Fraction], str]:
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     fam = spec.family
-    if isinstance(fam, Explicit):
+    if fam.monotonicity == FINITE:
         raise InvalidArgumentError(
             "explicit families have no closed-form atom list; test elements with is_atom"
         )
@@ -406,25 +462,14 @@ def certified_atoms(spec: MonoidSpec, k: int) -> tuple[list[Fraction], str]:
         raise NotSequenceGeneratedError(
             f"{fam.name} atoms form a dense interval; use is_atom"
         )
-    if isinstance(fam, PowerOf):
-        fam.check_atom_hypothesis()
+    fam.check_atom_hypothesis()
     count = fam.generator_count()
     if count is not None and k > count:
         raise InvalidArgumentError(f"only {count} generators are defined")
-    atoms = []
+    atoms = [fam.generator(i) for i in range(k)]
     for i in range(k):
-        _sequence_atom_certificate(spec, i, k)
-        atoms.append(fam.generator(i))
-    method = "closed-form" if isinstance(fam, PowerOf) else "p-adic-certificate"
-    return atoms, method
-
-
-def _explicit_style_is_atom(spec: MonoidSpec, x: Fraction) -> AtomVerdict:
-    gens = generators(spec)
-    for g in gens:
-        if g < x and contains(spec, x - g).member:
-            return AtomVerdict(False, "bounded-search", f"{x} = {g} + {x - g}")
-    return AtomVerdict(True, "bounded-search", "no two-part split within truncation")
+        fam.atom_certificate(atoms, i)
+    return atoms, fam.method
 
 
 def is_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVerdict:
@@ -436,26 +481,20 @@ def is_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVerdict:
     if not membership.member:
         raise NotAMemberError(f"{x} is not in the monoid (within truncation)")
     fam = spec.family
-    if isinstance(fam, ConductorQ):
-        return AtomVerdict(1 <= x < 2, "closed-form", "atoms are Q intersect [1,2)")
-    if isinstance(fam, SRing):
-        r = fam.r
-        ok = (x == 1 or r <= x < r + 1) and x != ceil(r)
-        return AtomVerdict(ok, "closed-form", "atoms are ({1} u [r,r+1)) minus {ceil(r)}")
-    if isinstance(fam, Explicit):
-        return _explicit_style_is_atom(spec, x)
-    # Named sequence family: atoms are exactly the generators.
-    k = spec.sequence_bound()
-    gens = generators(spec, k)
-    if x in gens:
-        idx = gens.index(x)
+    if spec.is_dense:
+        return AtomVerdict(fam.is_atom(x), "closed-form", fam.atom_rule)
+    gens = generators(spec)
+    # A sequence family's atoms are its generators, each certified; every
+    # other element, and every element of an explicit family, gets the split test.
+    if fam.monotonicity != FINITE and x in gens:
         try:
-            detail = _sequence_atom_certificate(spec, idx, k)
-            method = "closed-form" if isinstance(fam, PowerOf) else "p-adic-certificate"
-            return AtomVerdict(True, method, detail)
+            return AtomVerdict(True, fam.method, fam.atom_certificate(gens, gens.index(x)))
         except HypothesisViolatedError:
-            return _explicit_style_is_atom(spec, x)
-    return _explicit_style_is_atom(spec, x)
+            pass
+    g = _split(gens, x)
+    if g is not None:
+        return AtomVerdict(False, "bounded-search", f"{x} = {g} + {x - g}")
+    return AtomVerdict(True, "bounded-search", "no two-part split within truncation")
 
 
 def is_multiplicative_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVerdict:
@@ -484,7 +523,7 @@ def is_multiplicative_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVer
     while p < x:
         if is_prime(p):
             y = x / p
-            if y > 1 and (y.denominator == 1 or y >= r):
+            if y > 1 and fam.membership(y)[0]:
                 return AtomVerdict(False, "closed-form", f"{x} = {p} * {y} with {y} in S_r")
         p += 1
     return AtomVerdict(True, "closed-form", "in base set and not p * (S_r element > 1)")

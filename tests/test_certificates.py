@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,7 @@ from posmon.errors import (
     InvalidArgumentError,
     NotAMemberError,
 )
-from posmon.factorize import length_set
+from posmon.factorize import factorizations_of_length, length_set
 from posmon.monoids import (
     Alternating,
     ConductorQ,
@@ -119,6 +120,36 @@ class TestLffViolation:
     def test_bound_too_small(self):
         with pytest.raises(BoundTooSmallError):
             lff_violation("conductor", MonoidSpec(ConductorQ(), max_den=1))
+
+    def test_conductor_pairs_are_the_kernel_slice(self):
+        # the witness pairs are the length-2 slice of 3, and both equal the
+        # pairs {a, 3 - a} of [1, 2)-rationals with den(a) <= D
+        for max_den in range(1, 31):
+            spec = MonoidSpec(ConductorQ(), max_den=max_den)
+            slice_ = [[str(a) for a in z.expanded()] for z in factorizations_of_length(spec, 3, 2)]
+            brute = sorted(
+                (F(n, d), 3 - F(n, d))
+                for d in range(1, max_den + 1)
+                for n in range(d, 2 * d)
+                if gcd(n, d) == 1 and 2 * F(n, d) <= 3 and 3 - F(n, d) < 2
+            )
+            assert slice_ == [[str(a), str(b)] for a, b in brute], max_den
+            if not brute:
+                with pytest.raises(BoundTooSmallError):
+                    lff_violation("conductor", spec)
+            else:
+                assert lff_violation("conductor", spec).witness["pairs"] == slice_, max_den
+
+    def test_sring_pairs_bound_the_first_part_only(self):
+        # check lff bounds den(a) of each pair (a, x - a); the length-2 slice
+        # bounds both parts', so it finds fewer pairs when x is not an integer
+        r, x = F(7, 3), F(17, 3)
+        for max_den, pairs, slice_ in ((2, 1, 0), (4, 2, 0), (6, 6, 2)):
+            spec = MonoidSpec(SRing(r), max_den=max_den)
+            cert = lff_violation("sring-additive", spec)
+            assert cert.parameters["x"] == str(x)
+            assert cert.witness["count"] == pairs
+            assert len(factorizations_of_length(spec, x, 2)) == slice_
 
     def test_bad_target(self):
         with pytest.raises(InvalidArgumentError):

@@ -80,11 +80,17 @@ class TestFactorizeCommand:
         assert proc.returncode == 1  # missing --x
 
     def test_bad_input_ends_in_an_error_line(self, tmp_path):
+        not_json = tmp_path / "not-json.json"
+        not_json.write_text("not json")
+        cache = str(tmp_path / "cache")
         for argv, prefix in (
             (("factorize", "--family", "explicit", "--gens", "2,3", "--x", "abc"), "error:"),
             (("factorize", "--family", "explicit", "--gens", "a,3", "--x", "6"), "usage error:"),
             (("factorize", "--family", "alternating", "--primes", "a,3", "--k", "2", "--x", "1"), "usage error:"),
             (("seq", "lis", "--input", str(tmp_path / "missing.txt")), "error:"),
+            (("factorize", "--config", str(not_json), "--x", "6"), "usage error:"),
+            (("factorize", "--config", str(not_json), "--x", "6", "--cache-dir", cache), "usage error:"),
+            (("factorize", "--config", str(tmp_path / "missing.json"), "--x", "6", "--cache-dir", cache), "error:"),
         ):
             proc = run_cli(*argv)
             assert proc.returncode == 1, argv
@@ -213,6 +219,27 @@ class TestCache:
         assert again.returncode == 0
         assert again.stdout == first.stdout
         assert "corrupt" in again.stderr
+
+    def test_edited_config_is_not_replayed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        args = ("factorize", "--config", str(cfg), "--x", "7", "--cache-dir", str(tmp_path / "cache"))
+        cfg.write_text(json.dumps({"family": "explicit", "gens": "2,3"}))
+        assert json.loads(run_cli(*args).stdout)["factorizations"] == [[["2", 2], ["3", 1]]]
+        cfg.write_text(json.dumps({"family": "explicit", "gens": "2,5"}))
+        proc = run_cli(*args)
+        assert "cache hit" not in proc.stderr
+        assert json.loads(proc.stdout)["factorizations"] == [[["2", 1], ["5", 1]]]
+        assert "cache hit" in run_cli(*args).stderr
+
+    def test_edited_seq_input_is_not_replayed(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        args = ("seq", "lis", "--input", str(path), "--cache-dir", str(tmp_path / "cache"))
+        path.write_text("1\n3\n2\n")
+        assert json.loads(run_cli(*args).stdout)["length"] == 2
+        path.write_text("1\n2\n3\n4\n")
+        proc = run_cli(*args)
+        assert "cache hit" not in proc.stderr
+        assert json.loads(proc.stdout)["length"] == 4
 
     def test_no_cache_bypasses(self, tmp_path):
         cache = tmp_path / "cache"

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_member
+from oracles import naive_atoms, naive_member
 from posmon.errors import (
     HypothesisViolatedError,
     InvalidArgumentError,
     NotAMemberError,
     NotSequenceGeneratedError,
 )
+from posmon.factorize import atoms_for_query
 from posmon.monoids import (
     Alternating,
     ConductorQ,
@@ -191,6 +192,30 @@ class TestAtoms:
                     decomposable = True
                     break
             assert is_atom(spec, x).is_atom == (not decomposable), x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(F, st.integers(1, 12), st.sampled_from([1, 1, 2])), min_size=1, max_size=4))
+    def test_explicit_atoms_one_split_test(self, gens):
+        # atoms_for_query and is_atom share the split test; both match brute force
+        spec = MonoidSpec(Explicit(tuple(gens)))
+        by_verdict = sorted(g for g in spec.family.gens if is_atom(spec, g).is_atom)
+        assert atoms_for_query(spec) == by_verdict == naive_atoms(gens)
+
+    @pytest.mark.parametrize(
+        "family", [ConductorQ(), SRing(F(2)), SRing(F(5, 2)), SRing(F(7, 3)), SRing(F(9, 4))]
+    )
+    def test_dense_grid_is_the_filtered_denominator_grid(self, family):
+        # every n/d with d <= D below well past the atom window, filtered by is_atom
+        top = 2 * getattr(family, "r", 1) + 2
+        for max_den in range(1, 9):
+            spec = MonoidSpec(family, max_den=max_den)
+            brute = {
+                F(n, d)
+                for d in range(1, max_den + 1)
+                for n in range(1, int(top * d) + 1)
+                if contains(spec, F(n, d)).member and is_atom(spec, F(n, d)).is_atom
+            }
+            assert atoms_for_query(spec) == sorted(brute), max_den
 
 
 class TestMultiplicativeAtoms:
