@@ -196,13 +196,13 @@ def _sring_multiplicative_pairs(
     return sorted(pairs)
 
 
-def lff_violation(target: str, spec: MonoidSpec, max_den: int | None = None, s: Fraction | None = None) -> Certificate:
+def lff_violation(target: str, spec: MonoidSpec, s: Fraction | None = None) -> Certificate:
     """Enumerate the length-2 witness family showing the target monoid is not
-    length-finite, and check its count strictly grew since bound max_den // 2.
+    length-finite, and check its count strictly grew since bound spec.max_den // 2.
 
     target: "conductor", "sring-additive", or "sring-multiplicative".
     """
-    max_den = max_den if max_den is not None else spec.max_den
+    max_den = spec.max_den
     if max_den is None:
         raise InvalidArgumentError("a denominator bound is required")
 
@@ -419,7 +419,7 @@ def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
             "LFF": _entry("yes", "theorem:atomic-co-well-ordered-monoids-are-length-finite"),
         }
     elif isinstance(fam, Alternating):
-        probe = MonoidSpec(fam, k=spec.k or 10)
+        probe = MonoidSpec(fam, k=spec.k or fam.classify_truncation["k"])
         ffm = ffm_divisor_bound_alternating(probe, probe.family.generator(0))
         table = {
             "atomic": _entry("yes", "closed-form:atoms-are-the-generators (p-adic certificates)"),
@@ -432,7 +432,7 @@ def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
             "LFF": _entry("yes", "implied:FF->LFF"),
         }
     elif isinstance(fam, ConductorQ):
-        lff = lff_violation("conductor", MonoidSpec(fam, max_den=4), max_den=4)
+        lff = lff_violation("conductor", MonoidSpec(fam, **fam.classify_truncation))
         table = {
             "atomic": _entry("yes", "closed-form:atoms-are-[1,2)-rationals"),
             "ACCP": _entry("yes", "implied:BF->ACCP"),
@@ -442,7 +442,7 @@ def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
         }
     elif isinstance(fam, SRing):
         target = "sring-additive" if structure == "additive" else "sring-multiplicative"
-        lff = lff_violation(target, MonoidSpec(fam, max_den=6), max_den=6)
+        lff = lff_violation(target, MonoidSpec(fam, **fam.classify_truncation))
         basis_atoms = (
             "closed-form:additive-atoms ({1} u [r,r+1)) \\ {ceil(r)}"
             if structure == "additive"

@@ -27,7 +27,7 @@ from .certificates import (
 )
 from .errors import PosmonError
 from .factorize import Factorization, enumerate_factorizations, factorizations_of_length, length_set
-from .monoids import MonoidSpec, certified_atoms, family_from_config
+from .monoids import _FAMILIES, GeneratorFamily, MonoidSpec, certified_atoms, family_from_config
 from .rationals import is_prime, parse_rational
 from .semiring import (
     eval_exponential,
@@ -55,15 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_OPTION_FLAGS = {
+    key: f"{parse.__doc__} for --family {cls.name}" for cls in _FAMILIES.values() for key, parse, _ in cls.options
+}
+_TRUNCATION_FLAGS = {
+    "k": "index bound for sequence families",
+    "max_den": "denominator bound for dense families",
+    "max_prime": "prime bound for unit-fractions",
+}
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="explicit|grams|power|unit-fractions|alternating|conductor|sring")
-    p.add_argument("--gens", help="comma-separated generators for --family explicit")
-    p.add_argument("--q", help="ratio for --family power, e.g. 2/3")
-    p.add_argument("--r", help="threshold for --family sring, e.g. 5/2")
-    p.add_argument("--primes", help="custom prime sequence for --family alternating")
-    p.add_argument("--k", type=int, help="index bound for sequence families")
-    p.add_argument("--max-den", type=int, dest="max_den", help="denominator bound for dense families")
-    p.add_argument("--max-prime", type=int, dest="max_prime", help="prime bound for unit-fractions")
+    p.add_argument("--family", help="|".join(_FAMILIES))
+    for key, text in _OPTION_FLAGS.items():
+        p.add_argument(f"--{key}", help=text)
+    for key, text in _TRUNCATION_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=int, dest=key, help=text)
     p.add_argument("--config", help="JSON config file; CLI flags take precedence")
 
 
@@ -85,32 +92,36 @@ def _merged_family_options(args) -> dict:
                 raise UsageError(f"--config is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("--config must contain a JSON object")
-        cfg.update(loaded)
-    for key in ("family", "gens", "q", "r", "primes", "k", "max_den", "max_prime"):
+        cfg.update((key, val) for key, val in loaded.items() if val is not None)
+        # MonoidSpec checks k and max_den; max_prime never reaches it.
+        if type(cfg.get("max_prime", 0)) is not int:
+            raise UsageError(f"--config max_prime must be an integer, not {cfg['max_prime']!r}")
+    for key in ("family", *_OPTION_FLAGS, *_TRUNCATION_FLAGS):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
 
 
-def build_spec(cfg: dict) -> MonoidSpec:
-    """Build a MonoidSpec from merged config/flags; raises UsageError."""
-    name = cfg.get("family")
-    if not name:
+def _family(cfg: dict) -> GeneratorFamily:
+    """The family of merged config/flags: all keys but the truncation bounds."""
+    if not cfg.get("family"):
         raise UsageError("missing --family")
-    fam_cfg = {"name": name}
-    for key in ("gens", "q", "r", "primes"):
-        if cfg.get(key) is not None:
-            fam_cfg[key] = cfg[key]
+    options = {key: val for key, val in cfg.items() if key != "family" and key not in _TRUNCATION_FLAGS}
     try:
-        family = family_from_config(fam_cfg)
+        return family_from_config({"name": cfg["family"], **options})
     except PosmonError as exc:
         raise UsageError(str(exc)) from exc
-    k = cfg.get("k")
-    if cfg.get("max_prime") is not None:
-        if name != "unit-fractions":
+
+
+def build_spec(cfg: dict) -> MonoidSpec:
+    """Build a MonoidSpec from merged config/flags; raises UsageError."""
+    family = _family(cfg)
+    k, max_prime = cfg.get("k"), cfg.get("max_prime")
+    if max_prime is not None:
+        if family.name != "unit-fractions":
             raise UsageError("--max-prime applies to --family unit-fractions")
-        k = sum(1 for p in range(2, int(cfg["max_prime"]) + 1) if is_prime(p))
+        k = sum(1 for p in range(2, max_prime + 1) if is_prime(p))
         if k == 0:
             raise UsageError("--max-prime admits no primes")
     max_den = cfg.get("max_den")
@@ -290,14 +301,13 @@ def _run_check(args) -> tuple[dict, int]:
     cfg = _merged_family_options(args)
     kind = args.kind
     if kind == "accp":
-        spec = build_spec({**cfg, "k": cfg.get("k", 1)})
-        cert = accp_chain(spec.family, args.n_max)
+        cert = accp_chain(build_spec(cfg).family, args.n_max)
     elif kind == "bf":
         if cfg.get("family") not in (None, "unit-fractions"):
             raise UsageError("check bf runs over --family unit-fractions")
-        if args.max_prime is None and cfg.get("max_prime") is None:
+        if cfg.get("max_prime") is None:
             raise UsageError("check bf requires --max-prime")
-        cert = bf_violation_unit_fractions(args.max_prime or cfg.get("max_prime"))
+        cert = bf_violation_unit_fractions(cfg["max_prime"])
     elif kind == "lff":
         spec = build_spec(cfg)
         name = cfg.get("family")
@@ -315,8 +325,7 @@ def _run_check(args) -> tuple[dict, int]:
             raise UsageError("check ffm-bound requires --x")
         cert = ffm_divisor_bound_alternating(spec, parse_rational(args.x))
     else:  # classify
-        defaults = {"grams": {"k": 4}, "alternating": {"k": 10}, "conductor": {"max_den": 4}, "sring": {"max_den": 6}}
-        spec = build_spec({**defaults.get(cfg.get("family"), {}), **{k: v for k, v in cfg.items() if v is not None}})
+        spec = build_spec({**_family(cfg).classify_truncation, **cfg})
         cert = classify(spec, structure=args.structure)
     report = cert.to_jsonable()
     return report, 0 if cert.verified else 2

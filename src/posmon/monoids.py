@@ -19,6 +19,11 @@ queries (``contains``, ``is_atom``, ``certified_atoms`` and
 * Explicit families (``monotonicity == FINITE``) carry no truncation; their
   atoms are the generators with no two-part split, one search kernel call
   per candidate split.
+
+Each family class declares its options once, as ``(key, parser, required)``
+rows in ``options``, and its default ``classify_truncation``.  The CLI flags,
+``--config`` files and ``family_from_config`` read the rows; ``descriptor()``
+writes them back out.
 """
 
 from __future__ import annotations
@@ -66,12 +71,40 @@ FINITE = "finite"
 DENSE = "dense"
 
 
+# Option parsers; each docstring is the option's --help text.  A rational is a
+# str, int or Fraction, never a float or bool; a list a comma string or a list.
+
+
+def _rational(value) -> Fraction:
+    """a rational such as 2/3"""
+    if type(value) is not int and not isinstance(value, (str, Fraction)):
+        raise InvalidArgumentError(f"expected a rational string or an integer, not {value!r}")
+    return parse_rational(str(value))
+
+
+def _rationals(value) -> tuple[Fraction, ...]:
+    """comma-separated rationals"""
+    if not isinstance(value, (str, list, tuple)):
+        raise InvalidArgumentError(f"expected a comma-separated string or a list, not {value!r}")
+    return tuple(map(_rational, value.split(",") if isinstance(value, str) else value))
+
+
+def _integers(value) -> tuple[int, ...]:
+    """comma-separated integers"""
+    values = _rationals(value)
+    if any(v.denominator != 1 for v in values):
+        raise InvalidArgumentError(f"expected integers, not {value!r}")
+    return tuple(map(int, values))
+
+
 class GeneratorFamily:
     """Base class; concrete families are frozen dataclasses below."""
 
     name: str = "family"
     dense: bool = False
     monotonicity: str = NON_MONOTONE
+    options: tuple = ()
+    classify_truncation: dict = {}
 
     def generator(self, n: int) -> Fraction:
         raise NotSequenceGeneratedError(f"{self.name} has no generator sequence")
@@ -89,7 +122,15 @@ class GeneratorFamily:
         raise InvalidArgumentError(f"{self.name} has no per-generator atom certificate")
 
     def descriptor(self) -> dict:
-        return {"name": self.name}
+        """The name and the options, as ``family_from_config`` reads them."""
+        d = {"name": self.name}
+        for key, _, _ in self.options:
+            value = getattr(self, key)
+            if isinstance(value, tuple):
+                d[key] = [str(v) if isinstance(v, Fraction) else v for v in value]
+            elif value is not None:
+                d[key] = str(value)
+        return d
 
 
 @dataclass(frozen=True)
@@ -99,6 +140,7 @@ class Explicit(GeneratorFamily):
     gens: tuple[Fraction, ...]
     name = "explicit"
     monotonicity = FINITE
+    options = (("gens", _rationals, True),)
 
     def __init__(self, gens):
         seen: list[Fraction] = []
@@ -117,9 +159,6 @@ class Explicit(GeneratorFamily):
 
     def generator_count(self) -> int | None:
         return len(self.gens)
-
-    def descriptor(self) -> dict:
-        return {"name": self.name, "gens": [str(g) for g in self.gens]}
 
 
 class _PrimeIndexed(GeneratorFamily):
@@ -145,6 +184,7 @@ class Grams(_PrimeIndexed):
 
     name = "grams"
     monotonicity = DECREASING
+    classify_truncation = {"k": 4}
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, 2**n * self.index_prime(n))
@@ -161,6 +201,7 @@ class PowerOf(GeneratorFamily):
     name = "power"
     monotonicity = DECREASING
     method = "closed-form"
+    options = (("q", _rational, True),)
 
     def __init__(self, q):
         q = Fraction(q)
@@ -192,9 +233,6 @@ class PowerOf(GeneratorFamily):
             raise AssertionError("certificate failed: wrong valuation profile")
         return f"generators separated by {p}-adic valuation; closed form certified"
 
-    def descriptor(self) -> dict:
-        return {"name": self.name, "q": str(self.q)}
-
 
 @dataclass(frozen=True)
 class UnitFractionPrimes(_PrimeIndexed):
@@ -223,6 +261,8 @@ class Alternating(_PrimeIndexed):
     primes: tuple[int, ...] | None = None
     name = "alternating"
     monotonicity = NON_MONOTONE
+    options = (("primes", _integers, False),)
+    classify_truncation = {"k": 10}
 
     def __post_init__(self):
         if self.primes is not None:
@@ -249,12 +289,6 @@ class Alternating(_PrimeIndexed):
     def generator_count(self) -> int | None:
         return None if self.primes is None else len(self.primes)
 
-    def descriptor(self) -> dict:
-        d = {"name": self.name}
-        if self.primes is not None:
-            d["primes"] = list(self.primes)
-        return d
-
 
 class _Dense(GeneratorFamily):
     """A family whose membership and atoms are closed forms.  Subclasses
@@ -277,6 +311,7 @@ class ConductorQ(_Dense):
 
     name = "conductor"
     atom_rule = "atoms are Q intersect [1,2)"
+    classify_truncation = {"max_den": 4}
 
     def membership(self, x: Fraction) -> tuple[bool, str]:
         if x >= 1:
@@ -301,6 +336,8 @@ class SRing(_Dense):
     r: Fraction
     name = "sring"
     atom_rule = "atoms are ({1} u [r,r+1)) minus {ceil(r)}"
+    options = (("r", _rational, True),)
+    classify_truncation = {"max_den": 6}
 
     def __init__(self, r):
         r = Fraction(r)
@@ -322,9 +359,6 @@ class SRing(_Dense):
         window = range(ceil(self.r * d), ceil((self.r + 1) * d))  # [r, r+1)
         return (1, *window) if d == 1 else window
 
-    def descriptor(self) -> dict:
-        return {"name": self.name, "r": str(self.r)}
-
 
 @dataclass(frozen=True)
 class MonoidSpec:
@@ -340,10 +374,9 @@ class MonoidSpec:
     max_den: int | None = None
 
     def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise InvalidArgumentError("truncation index bound k must be >= 1")
-        if self.max_den is not None and self.max_den < 1:
-            raise InvalidArgumentError("denominator bound must be >= 1")
+        for label, bound in (("truncation index bound k", self.k), ("denominator bound", self.max_den)):
+            if bound is not None and (type(bound) is not int or bound < 1):
+                raise InvalidArgumentError(f"{label} must be an integer >= 1, not {bound!r}")
 
     @property
     def is_dense(self) -> bool:
@@ -529,49 +562,24 @@ def is_multiplicative_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVer
     return AtomVerdict(True, "closed-form", "in base set and not p * (S_r element > 1)")
 
 
-_FAMILY_KEYS = {
-    "explicit": ("gens",),
-    "grams": (),
-    "power": ("q",),
-    "unit-fractions": (),
-    "alternating": ("primes",),
-    "conductor": (),
-    "sring": ("r",),
+_FAMILIES = {
+    cls.name: cls for cls in (Explicit, Grams, PowerOf, UnitFractionPrimes, Alternating, ConductorQ, SRing)
 }
 
 
 def family_from_config(cfg: dict) -> GeneratorFamily:
-    """Build a family from a config mapping (the CLI/config-file schema)."""
+    """Build a family from ``name`` and the options its class declares (None is absent)."""
     name = cfg.get("name")
-    if name not in _FAMILY_KEYS:
-        raise InvalidArgumentError(
-            f"unknown family {name!r}; expected one of {sorted(_FAMILY_KEYS)}"
-        )
-    if name == "explicit":
-        raw = cfg.get("gens")
-        if not raw:
-            raise InvalidArgumentError("explicit family requires gens")
-        if isinstance(raw, str):
-            raw = raw.split(",")
-        return Explicit(tuple(parse_rational(str(g)) for g in raw))
-    if name == "grams":
-        return Grams()
-    if name == "power":
-        if "q" not in cfg:
-            raise InvalidArgumentError("power family requires q")
-        return PowerOf(parse_rational(str(cfg["q"])))
-    if name == "unit-fractions":
-        return UnitFractionPrimes()
-    if name == "alternating":
-        primes = cfg.get("primes")
-        if isinstance(primes, str):
-            try:
-                primes = [int(p) for p in primes.split(",")]
-            except ValueError as exc:
-                raise InvalidArgumentError(f"not a list of integers: {primes!r}") from exc
-        return Alternating(tuple(primes) if primes else None)
-    if name == "conductor":
-        return ConductorQ()
-    if "r" not in cfg:
-        raise InvalidArgumentError("sring family requires r")
-    return SRing(parse_rational(str(cfg["r"])))
+    cls = _FAMILIES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise InvalidArgumentError(f"unknown family {name!r}; expected one of {sorted(_FAMILIES)}")
+    given = {key: value for key, value in cfg.items() if key != "name" and value is not None}
+    kwargs = {}
+    for key, parse, required in cls.options:
+        if key in given:
+            kwargs[key] = parse(given.pop(key))
+        elif required:
+            raise InvalidArgumentError(f"{name} family requires {key}")
+    if given:
+        raise InvalidArgumentError(f"{name} family takes no option {min(given)!r}")
+    return cls(**kwargs)

@@ -24,6 +24,7 @@ from math import lcm
 
 from .errors import InvalidArgumentError, UnsupportedFamilyError
 from .monoids import MonoidSpec, contains, generators
+from .rationals import parse_rational
 
 __all__ = [
     "GenPoly",
@@ -459,7 +460,7 @@ def parse_gen_poly(spec: MonoidSpec, text: str) -> GenPoly:
         elif m.group("exp" ) is None:
             exp = Fraction(1)
         else:
-            exp = Fraction(m.group("exp").strip("() \t"))
+            exp = parse_rational(m.group("exp").strip("() \t"))
         if coeff == 0:
             continue
         mapping[exp] = mapping.get(exp, 0) + coeff

@@ -83,7 +83,27 @@ class TestFactorizeCommand:
         not_json = tmp_path / "not-json.json"
         not_json.write_text("not json")
         cache = str(tmp_path / "cache")
+
+        def config(text):
+            path = tmp_path / f"config-{len(list(tmp_path.glob('config-*')))}.json"
+            path.write_text(text)
+            return str(path)
+
         for argv, prefix in (
+            *(
+                (("factorize", "--config", config(text), "--x", "13/30"), "usage error:")
+                for text in (
+                    '{"family": "grams", "k": "3"}',
+                    '{"family": ["grams"]}',
+                    '{"family": "grams", "k": 2.5}',
+                    '{"family": "explicit", "gens": 5}',
+                    '{"family": "grams", "k": true}',
+                    '{"family": "grams", "q": "2/3"}',
+                )
+            ),
+            (("check", "bf", "--config", config('{"family": "unit-fractions", "max_prime": "7"}')), "usage error:"),
+            (("factorize", "--family", "grams", "--q", "2/3", "--k", "3", "--x", "1/3"), "usage error:"),
+            (("semiring", "mul", "--family", "explicit", "--gens", "2,3", "--f", "2*x^(1/0)", "--g", "1"), "error:"),
             (("factorize", "--family", "explicit", "--gens", "2,3", "--x", "abc"), "error:"),
             (("factorize", "--family", "explicit", "--gens", "a,3", "--x", "6"), "usage error:"),
             (("factorize", "--family", "alternating", "--primes", "a,3", "--k", "2", "--x", "1"), "usage error:"),

@@ -249,3 +249,56 @@ class TestFamilyConfig:
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
             family_from_config({"name": "nope"})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"name": ["grams"]},  # non-string family name
+            {"name": "power"},  # missing required key
+            {"name": "explicit"},
+            {"name": "sring"},
+            {"name": "grams", "q": "2/3"},  # key the family does not declare
+            {"name": "power", "q": "2/3", "k": 3},
+            {"name": "power", "q": 0.5},  # wrong-typed values
+            {"name": "power", "q": True},
+            {"name": "sring", "r": ["5/2"]},
+            {"name": "explicit", "gens": 5},
+            {"name": "explicit", "gens": [2, 2.5]},
+            {"name": "explicit", "gens": {"a": 1}},
+            {"name": "alternating", "primes": "2,3/2"},
+            {"name": "alternating", "primes": [2, False]},
+        ],
+    )
+    def test_bad_config_is_rejected(self, cfg):
+        with pytest.raises(InvalidArgumentError):
+            family_from_config(cfg)
+
+    def test_json_lists_and_integers_are_accepted(self):
+        assert family_from_config({"name": "explicit", "gens": [2, "5/2"]}).gens == (F(2), F(5, 2))
+        assert family_from_config({"name": "sring", "r": 3}).r == F(3)
+        assert family_from_config({"name": "alternating", "primes": [2, "3"]}).primes == (2, 3)
+        assert family_from_config({"name": "alternating", "primes": None}) == Alternating()
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            Explicit((2, F(5, 2), 3)),
+            Grams(),
+            PowerOf(F(2, 3)),
+            UnitFractionPrimes(),
+            Alternating((3, 5, 7)),
+            ConductorQ(),
+            SRing(F(5, 2)),
+        ],
+    )
+    def test_descriptor_round_trips(self, family):
+        d = family.descriptor()
+        rest = {key: value for key, value in d.items() if key != "name"}
+        assert family_from_config({"name": d["name"], **rest}) == family
+
+    @pytest.mark.parametrize("bound", [True, "3", 2.5, 0])
+    def test_spec_bounds_must_be_positive_ints(self, bound):
+        with pytest.raises(InvalidArgumentError):
+            MonoidSpec(Grams(), k=bound)
+        with pytest.raises(InvalidArgumentError):
+            MonoidSpec(ConductorQ(), max_den=bound)
