@@ -6,30 +6,32 @@ and per-family property classification tables.
 Every certificate re-verifies its own arithmetic from scratch (exact rational
 identities, membership combinations, atomhood closed forms) before it is
 marked verified; nothing is trusted from the code path that proposed it.
+
+The property tables live on the family classes (``properties`` in
+``monoids``); this module keeps the witnesses.  ``_WITNESSES`` maps each
+``witness:`` basis to the certificate that backs it, and ``classify`` re-runs
+it for every row that cites it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .errors import BoundTooSmallError, HypothesisViolatedError, InvalidArgumentError, NotAMemberError
-from .factorize import factorizations_of_length, length_set
+from .errors import BoundTooSmallError, InvalidArgumentError, NotAMemberError
+from .factorize import length_set
 from .monoids import (
     Alternating,
-    ConductorQ,
-    Explicit,
     GeneratorFamily,
-    Grams,
     MonoidSpec,
-    PowerOf,
-    SRing,
     UnitFractionPrimes,
     contains,
     is_atom,
     is_multiplicative_atom,
 )
-from .rationals import is_prime, nth_prime, prime_factors
+from .rationals import is_prime, prime_factors
 
 __all__ = [
     "Certificate",
@@ -61,61 +63,37 @@ class Certificate:
         }
 
 
+def _rational_options(family: GeneratorFamily) -> dict:
+    """The family's single-rational options (``q``, ``r``) as certificate
+    parameters; list options and the name are left out."""
+    return {key: value for key, value in family.descriptor().items() if key != "name" and isinstance(value, str)}
+
+
 def accp_chain(family: GeneratorFamily, n_max: int) -> Certificate:
     """Witness an ascending chain of principal ideals b_n + M that never
     stabilizes: each step verifies b_n = b_{n+1} + delta_n exactly, with
-    delta_n a nonzero member exhibited as an explicit generator multiple.
+    delta_n > 0 a member exhibited as a multiple of the family's closed-form
+    generator, and b_{n+1} the next step's b_n.
     """
     if n_max < 0:
         raise InvalidArgumentError("n_max must be >= 0")
+    family.check_atom_hypothesis()
     steps = []
-    if isinstance(family, Grams):
-        for n in range(n_max + 1):
-            b_n = Fraction(1, 2**n)
-            b_next = Fraction(1, 2 ** (n + 1))
-            delta = b_n - b_next
-            p = nth_prime(n + 1, exclude_two=True)
-            gen = family.generator(n + 1)
-            if delta != b_next or p * gen != delta or delta == 0:
-                raise AssertionError("chain identity failed to re-verify")
-            steps.append(
-                {
-                    "n": n,
-                    "b_n": str(b_n),
-                    "b_next": str(b_next),
-                    "delta": str(delta),
-                    "delta_membership": f"{p} * (1/(2^{n + 1}*{p}))",
-                }
-            )
-        params = {"n_max": n_max}
-    elif isinstance(family, PowerOf):
-        family.check_atom_hypothesis()
-        q = family.q
-        num, den = q.numerator, q.denominator
-        for n in range(n_max + 1):
-            b_n = den * q**n
-            b_next = den * q ** (n + 1)
-            delta = (den - num) * q**n
-            if b_n != b_next + delta or delta == 0:
-                raise AssertionError("chain identity failed to re-verify")
-            steps.append(
-                {
-                    "n": n,
-                    "b_n": str(b_n),
-                    "b_next": str(b_next),
-                    "delta": str(delta),
-                    "delta_membership": f"{den - num} * q^{n}",
-                }
-            )
-        params = {"n_max": n_max, "q": str(q)}
-    else:
-        raise InvalidArgumentError(
-            "non-stabilizing chains are certified for the grams and power families"
+    b_prev = None
+    for n in range(n_max + 1):
+        b_n, b_next, m, i, text = family.accp_step(n)
+        delta = b_n - b_next
+        exhibited = type(m) is int and m >= 1 and delta == m * family.generator(i)
+        if not exhibited or delta <= 0 or b_prev not in (None, b_n):
+            raise AssertionError("chain identity failed to re-verify")
+        b_prev = b_next
+        steps.append(
+            {"n": n, "b_n": str(b_n), "b_next": str(b_next), "delta": str(delta), "delta_membership": text}
         )
     return Certificate(
         claim="accp-fails",
         family=family.descriptor(),
-        parameters=params,
+        parameters={"n_max": n_max, **_rational_options(family)},
         witness={"chain": steps},
         verified=True,
     )
@@ -149,12 +127,13 @@ def bf_violation_unit_fractions(max_prime: int) -> Certificate:
     )
 
 
-def _sring_additive_pairs(fam: SRing, x: Fraction, max_den: int) -> list[tuple[Fraction, Fraction]]:
-    """Unordered pairs (a, x - a) of additive atoms with den(a) <= max_den.
+def _additive_pairs(fam: GeneratorFamily, x: Fraction, max_den: int) -> list[tuple[Fraction, Fraction]]:
+    """Unordered pairs (a, x - a) of a dense family's atoms with den(a) <= max_den.
 
     The cofactor's denominator is not bounded, unlike in the length-2
     factorization slice, which bounds both parts'; for a non-integral x the
-    slice can find fewer pairs.
+    slice can find fewer pairs.  For an integral x (the conductor's x = 3)
+    both parts share a denominator and the two agree.
     """
     pairs = []
     for d in range(1, max_den + 1):
@@ -200,81 +179,47 @@ def lff_violation(target: str, spec: MonoidSpec, s: Fraction | None = None) -> C
     """Enumerate the length-2 witness family showing the target monoid is not
     length-finite, and check its count strictly grew since bound spec.max_den // 2.
 
-    target: "conductor", "sring-additive", or "sring-multiplicative".
+    target: one of the family's ``lff_targets`` ("conductor",
+    "sring-additive" or "sring-multiplicative").
     """
-    max_den = spec.max_den
+    fam, max_den = spec.family, spec.max_den
+    if target not in fam.lff_targets.values():
+        raise InvalidArgumentError(f"the {fam.name} family has no length-2 witness family {target!r}")
     if max_den is None:
         raise InvalidArgumentError("a denominator bound is required")
-
-    if target == "conductor":
-        if not isinstance(spec.family, ConductorQ):
-            raise InvalidArgumentError("conductor target needs the conductor family")
-        x = Fraction(3)
-
-        def conductor_pairs(bound: int) -> list[tuple[Fraction, ...]]:
-            # x is an integer, so a and x - a share a denominator: bounding
-            # both parts' denominators (the slice) bounds the first part's.
-            slice_ = factorizations_of_length(MonoidSpec(spec.family, max_den=bound), x, 2)
-            return [z.expanded() for z in slice_]
-
-        pairs = conductor_pairs(max_den)
-        half_pairs = conductor_pairs(max_den // 2) if max_den // 2 >= 1 else []
-        for a, b in pairs:
-            if a + b != x or not is_atom(spec, a).is_atom or not is_atom(spec, b).is_atom:
-                raise AssertionError("conductor witness failed to re-verify")
-        params: dict = {"x": str(x), "length": 2, "max_den": max_den}
-    elif target == "sring-additive":
-        if not isinstance(spec.family, SRing):
-            raise InvalidArgumentError("sring target needs the sring family")
-        r = spec.family.r
-        x = 2 * r + 1
-        pairs = _sring_additive_pairs(spec.family, x, max_den)
-        half_pairs = _sring_additive_pairs(spec.family, x, max_den // 2) if max_den // 2 >= 1 else []
-        for a, b in pairs:
-            if a + b != x or not is_atom(spec, a).is_atom or not is_atom(spec, b).is_atom:
-                raise AssertionError("sring additive witness failed to re-verify")
-        params = {"x": str(x), "length": 2, "max_den": max_den, "r": str(r)}
-    elif target == "sring-multiplicative":
-        if not isinstance(spec.family, SRing):
-            raise InvalidArgumentError("sring target needs the sring family")
-        r = spec.family.r
+    if target == "sring-multiplicative":
+        r = fam.r
         if s is None:
-            s = (r + r * r) / 2
+            # Inside (r, min(r^2, 2r)): the non-integer multiplicative atoms
+            # lie in [r, 2r), so a larger s^2 has only the pairs with a prime part.
+            s = (r + r * r) / 2 if r < 3 else 3 * r / 2
         s = Fraction(s)
         if not r < s < r * r:
             raise InvalidArgumentError(f"s must lie strictly between r and r^2, got {s}")
-        pairs = _sring_multiplicative_pairs(spec, s, max_den)
-        half_pairs = (
-            _sring_multiplicative_pairs(spec, s, max_den // 2) if max_den // 2 >= 1 else []
-        )
-        for u, v in pairs:
-            if u * v != s * s:
-                raise AssertionError("sring multiplicative witness failed to re-verify")
-        params = {
-            "x": str(s * s),
-            "s": str(s),
-            "length": 2,
-            "max_den": max_den,
-            "r": str(r),
-        }
+        x, combine, atom, shown = s * s, operator.mul, is_multiplicative_atom, {"s": str(s)}
+        pairs_at = partial(_sring_multiplicative_pairs, spec, s)
     else:
-        raise InvalidArgumentError(f"unknown target {target!r}")
-
+        x = Fraction(3) if target == "conductor" else 2 * fam.r + 1
+        combine, atom, shown = operator.add, is_atom, {}
+        pairs_at = partial(_additive_pairs, fam, x)
+    pairs, half_pairs = pairs_at(max_den), pairs_at(max_den // 2)
     if not pairs:
         raise BoundTooSmallError(
             f"no length-2 witness with denominators <= {max_den}; raise the bound"
         )
-    grew = len(pairs) >= len(half_pairs) + 1
+    for a, b in pairs:
+        if combine(a, b) != x or not atom(spec, a).is_atom or not atom(spec, b).is_atom:
+            raise AssertionError(f"{target} witness failed to re-verify")
     return Certificate(
         claim="lff-fails",
-        family=spec.family.descriptor(),
-        parameters=params,
+        family=fam.descriptor(),
+        parameters={"x": str(x), **shown, "length": 2, "max_den": max_den, **_rational_options(fam)},
         witness={
             "count": len(pairs),
             "count_at_half_bound": len(half_pairs),
             "pairs": [[str(a), str(b)] for a, b in pairs],
         },
-        verified=grew,
+        verified=len(pairs) > len(half_pairs),
     )
 
 
@@ -325,8 +270,8 @@ def ffm_divisor_bound_alternating(spec: MonoidSpec, x: Fraction | int | str) -> 
     )
 
 
-# Property tables.  Entries are (verdict, basis); bases name the certified
-# closed form / known theorem or the bounded witness that backs the verdict.
+# Implications between the properties; every table classify issues obeys
+# them, and also "BF and LFF imply FF".
 IMPLICATIONS = (
     ("FF", "BF"),
     ("BF", "ACCP"),
@@ -334,142 +279,63 @@ IMPLICATIONS = (
     ("FF", "LFF"),
 )
 
-PROPERTIES = ("atomic", "ACCP", "BF", "FF", "LFF")
-
 
 def check_classification_consistency(table: dict[str, dict]) -> bool:
-    """No implication X => Y may pair X: yes with Y: no."""
-    for x, y in IMPLICATIONS:
-        if table[x]["verdict"] == "yes" and table[y]["verdict"] == "no":
-            return False
-    return True
+    """No implication X => Y may pair X: yes with Y: no, and BF: yes with
+    LFF: yes needs FF: yes (bounded lengths, each with finitely many
+    factorizations, leave finitely many factorizations)."""
+    verdict = {prop: entry["verdict"] for prop, entry in table.items()}
+    if any(verdict[x] == "yes" and verdict[y] == "no" for x, y in IMPLICATIONS):
+        return False
+    return not (verdict["BF"] == verdict["LFF"] == "yes" and verdict["FF"] == "no")
 
 
-def _entry(verdict: str, basis: str) -> dict:
-    return {"verdict": verdict, "basis": basis}
+def _antimatter_identity(spec: MonoidSpec, structure: str) -> bool:
+    q = spec.family.q
+    return q == q.denominator * q**2
+
+
+# The certificate behind each "witness:" basis, run on (spec, structure).
+_WITNESSES = {
+    "witness:accp-chain": lambda spec, structure: accp_chain(spec.family, 3).verified,
+    "witness:antimatter-identity q^n = d*q^(n+1)": _antimatter_identity,
+    "witness:L(1)-contains-every-prime": lambda spec, structure: bf_violation_unit_fractions(13).verified,
+    "witness:finite-divisor-bound": lambda spec, structure: ffm_divisor_bound_alternating(
+        spec, spec.family.generator(0)
+    ).verified,
+    "witness:length-2-factorizations-grow": lambda spec, structure: lff_violation(
+        spec.family.lff_targets[structure], spec
+    ).verified,
+}
 
 
 def classify(spec: MonoidSpec, structure: str = "additive") -> Certificate:
     """Three-valued {atomic, ACCP, BF, FF, LFF} report for a named family.
 
-    Each yes/no is backed either by a certified closed form / known theorem
-    (named in the basis) or by a bounded witness re-run here.  The emitted
-    table is implication-checked before the certificate is issued.
+    The family's ``properties`` give each verdict and its basis: a certified
+    closed form, a known theorem, an implication, or a bounded witness that
+    is re-run here at the spec's bound (the family's ``classify_truncation``
+    when the spec has none) and reads ``unverified`` if it fails.  The
+    bounds read are recorded in ``parameters``, and the table is
+    implication-checked before the certificate is issued.
     """
     fam = spec.family
-    params: dict = {"structure": structure}
-    if structure not in ("additive", "multiplicative"):
-        raise InvalidArgumentError("structure must be additive or multiplicative")
-    if structure == "multiplicative" and not isinstance(fam, SRing):
-        raise InvalidArgumentError(
-            "multiplicative classification is certified only for the sring family"
-        )
-
-    if isinstance(fam, Explicit):
-        table = {
-            "atomic": _entry("yes", "known:finitely-generated-monoids-are-FFMs"),
-            "ACCP": _entry("yes", "known:finitely-generated-monoids-are-FFMs"),
-            "BF": _entry("yes", "known:finitely-generated-monoids-are-FFMs"),
-            "FF": _entry("yes", "known:finitely-generated-monoids-are-FFMs"),
-            "LFF": _entry("yes", "implied:FF->LFF"),
-        }
-    elif isinstance(fam, Grams):
-        accp = accp_chain(fam, 3)
-        table = {
-            "atomic": _entry("yes", "closed-form:atoms-are-the-generators (p-adic certificates)"),
-            "ACCP": _entry("no", "witness:accp-chain" if accp.verified else "unverified"),
-            "BF": _entry("no", "implied:BF->ACCP"),
-            "FF": _entry("no", "implied:FF->BF"),
-            "LFF": _entry("yes", "theorem:atomic-co-well-ordered-monoids-are-length-finite"),
-        }
-    elif isinstance(fam, PowerOf):
-        try:
-            fam.check_atom_hypothesis()
-        except HypothesisViolatedError:
-            # q = 1/d: every generator splits as q^n = d * q^(n+1), so the
-            # monoid has no atoms at all.
-            d = fam.q.denominator
-            if fam.q != d * fam.q**2:
-                raise AssertionError("antimatter identity failed to re-verify")
-            table = {
-                "atomic": _entry("no", "witness:antimatter-identity q^n = d*q^(n+1)"),
-                "ACCP": _entry("no", "implied:ACCP->atomic"),
-                "BF": _entry("no", "implied:BF->ACCP"),
-                "FF": _entry("no", "implied:FF->BF"),
-                "LFF": _entry("no", "definition:length-finiteness-presumes-atomicity"),
-            }
-            params["q"] = str(fam.q)
-            return _finish_classification(spec, params, table)
-        accp = accp_chain(fam, 3)
-        table = {
-            "atomic": _entry("yes", "closed-form:atoms-are-the-powers-of-q"),
-            "ACCP": _entry("no", "witness:accp-chain" if accp.verified else "unverified"),
-            "BF": _entry("no", "implied:BF->ACCP"),
-            "FF": _entry("no", "implied:FF->BF"),
-            "LFF": _entry("yes", "theorem:atomic-co-well-ordered-monoids-are-length-finite"),
-        }
-        params["q"] = str(fam.q)
-    elif isinstance(fam, UnitFractionPrimes):
-        bf = bf_violation_unit_fractions(13)
-        table = {
-            "atomic": _entry("yes", "closed-form:atoms-are-the-unit-fractions (p-adic certificates)"),
-            "ACCP": _entry("yes", "known:ascending-chains-stabilize-for-this-family"),
-            "BF": _entry("no", "witness:L(1)-contains-every-prime" if bf.verified else "unverified"),
-            "FF": _entry("no", "implied:FF->BF"),
-            "LFF": _entry("yes", "theorem:atomic-co-well-ordered-monoids-are-length-finite"),
-        }
-    elif isinstance(fam, Alternating):
-        probe = MonoidSpec(fam, k=spec.k or fam.classify_truncation["k"])
-        ffm = ffm_divisor_bound_alternating(probe, probe.family.generator(0))
-        table = {
-            "atomic": _entry("yes", "closed-form:atoms-are-the-generators (p-adic certificates)"),
-            "ACCP": _entry("yes", "implied:BF->ACCP"),
-            "BF": _entry("yes", "implied:FF->BF"),
-            "FF": _entry(
-                "yes",
-                "witness:finite-divisor-bound" if ffm.verified else "unverified",
-            ),
-            "LFF": _entry("yes", "implied:FF->LFF"),
-        }
-    elif isinstance(fam, ConductorQ):
-        lff = lff_violation("conductor", MonoidSpec(fam, **fam.classify_truncation))
-        table = {
-            "atomic": _entry("yes", "closed-form:atoms-are-[1,2)-rationals"),
-            "ACCP": _entry("yes", "implied:BF->ACCP"),
-            "BF": _entry("yes", "known:zero-is-isolated-so-lengths-are-bounded"),
-            "FF": _entry("no", "implied-contrapositive:FF->LFF"),
-            "LFF": _entry("no", "witness:length-2-factorizations-grow" if lff.verified else "unverified"),
-        }
-    elif isinstance(fam, SRing):
-        target = "sring-additive" if structure == "additive" else "sring-multiplicative"
-        lff = lff_violation(target, MonoidSpec(fam, **fam.classify_truncation))
-        basis_atoms = (
-            "closed-form:additive-atoms ({1} u [r,r+1)) \\ {ceil(r)}"
-            if structure == "additive"
-            else "closed-form:multiplicative-atoms (P u [r,r^2)) \\ P*(S_r)>1"
-        )
-        table = {
-            "atomic": _entry("yes", basis_atoms),
-            "ACCP": _entry("yes", "implied:BF->ACCP"),
-            "BF": _entry("yes", "known:zero-is-isolated-so-lengths-are-bounded"),
-            "FF": _entry("no", "implied-contrapositive:FF->LFF"),
-            "LFF": _entry("no", "witness:length-2-factorizations-grow" if lff.verified else "unverified"),
-        }
-        params["r"] = str(fam.r)
-    else:
-        table = {p: _entry("unknown", "family-outside-certified-table") for p in PROPERTIES}
-    return _finish_classification(spec, params, table)
-
-
-def _finish_classification(spec: MonoidSpec, params: dict, table: dict) -> Certificate:
-    consistent = check_classification_consistency(table)
-    if not consistent:
+    rows = fam.properties.get(structure)
+    if rows is None:
+        raise InvalidArgumentError(f"{structure} classification is not certified for the {fam.name} family")
+    bounds = {key: getattr(spec, key) or default for key, default in fam.classify_truncation.items()}
+    probe = MonoidSpec(fam, **bounds)
+    table = {}
+    for prop, (verdict, basis) in rows.items():
+        if basis.startswith("witness:") and not _WITNESSES[basis](probe, structure):
+            basis = "unverified"
+        table[prop] = {"verdict": verdict, "basis": basis}
+    if not check_classification_consistency(table):
         raise AssertionError("classification table violates a property implication")
-    verified = consistent and all(e["basis"] != "unverified" for e in table.values())
     return Certificate(
         claim="classification",
-        family=spec.family.descriptor(),
-        parameters=params,
+        family=fam.descriptor(),
+        parameters={"structure": structure, **_rational_options(fam), **bounds},
         witness={"table": table},
-        verified=verified,
+        verified=all(e["basis"] != "unverified" for e in table.values()),
     )

@@ -307,16 +307,14 @@ def _run_check(args) -> tuple[dict, int]:
             raise UsageError("check bf runs over --family unit-fractions")
         if cfg.get("max_prime") is None:
             raise UsageError("check bf requires --max-prime")
+        build_spec({**cfg, "family": "unit-fractions"})  # rejects options unit-fractions never reads
         cert = bf_violation_unit_fractions(cfg["max_prime"])
     elif kind == "lff":
         spec = build_spec(cfg)
-        name = cfg.get("family")
-        if name == "conductor":
-            target = "conductor"
-        elif name == "sring":
-            target = f"sring-{args.structure}"
-        else:
-            raise UsageError("check lff runs over --family conductor or sring")
+        target = spec.family.lff_targets.get(args.structure)
+        if target is None:
+            names = " or ".join(cls.name for cls in _FAMILIES.values() if args.structure in cls.lff_targets)
+            raise UsageError(f"check lff --structure {args.structure} runs over --family {names}")
         s = parse_rational(args.s) if args.s else None
         cert = lff_violation(target, spec, s=s)
     elif kind == "ffm-bound":

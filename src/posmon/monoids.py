@@ -21,9 +21,16 @@ queries (``contains``, ``is_atom``, ``certified_atoms`` and
   per candidate split.
 
 Each family class declares its options once, as ``(key, parser, required)``
-rows in ``options``, and its default ``classify_truncation``.  The CLI flags,
-``--config`` files and ``family_from_config`` read the rows; ``descriptor()``
-writes them back out.
+rows in ``options``.  The CLI flags, ``--config`` files and
+``family_from_config`` read the rows; ``descriptor()`` writes them back out.
+
+Each family class also declares its property table, ``properties``: per
+structure, ``{property: (verdict, basis)}``.  ``certificates.classify`` reads
+it and re-runs the certificate behind every ``witness:`` basis at the bounds
+named in ``classify_truncation`` (the spec's own bound when it has one).
+Two certificates read more than the table: ``accp_chain`` reads the chain's
+closed form from ``accp_step``, and ``lff_violation`` reads the length-2
+witness family of each structure from ``lff_targets``.
 """
 
 from __future__ import annotations
@@ -97,6 +104,24 @@ def _integers(value) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
+# Property-table rows shared by several families.  A basis names the closed
+# form, known theorem or implication behind a verdict; a "witness:" basis
+# names the bounded certificate that classify re-runs.
+_CO_WELL_ORDERED_LFF = ("yes", "theorem:atomic-co-well-ordered-monoids-are-length-finite")
+_NO_ACCP_ROWS = {
+    "ACCP": ("no", "witness:accp-chain"),
+    "BF": ("no", "implied:BF->ACCP"),
+    "FF": ("no", "implied:FF->BF"),
+    "LFF": _CO_WELL_ORDERED_LFF,
+}
+_DENSE_ROWS = {
+    "ACCP": ("yes", "implied:BF->ACCP"),
+    "BF": ("yes", "known:zero-is-isolated-so-lengths-are-bounded"),
+    "FF": ("no", "implied-contrapositive:FF->LFF"),
+    "LFF": ("no", "witness:length-2-factorizations-grow"),
+}
+
+
 class GeneratorFamily:
     """Base class; concrete families are frozen dataclasses below."""
 
@@ -104,7 +129,9 @@ class GeneratorFamily:
     dense: bool = False
     monotonicity: str = NON_MONOTONE
     options: tuple = ()
+    properties: dict = {}
     classify_truncation: dict = {}
+    lff_targets: dict = {}
 
     def generator(self, n: int) -> Fraction:
         raise NotSequenceGeneratedError(f"{self.name} has no generator sequence")
@@ -120,6 +147,11 @@ class GeneratorFamily:
     def atom_certificate(self, gens: list[Fraction], index: int) -> str:
         """Machine-check that gens[index] is an atom; returns the certificate."""
         raise InvalidArgumentError(f"{self.name} has no per-generator atom certificate")
+
+    def accp_step(self, n: int) -> tuple[Fraction, Fraction, int, int, str]:
+        """Step n of a non-stabilizing principal-ideal chain: (b_n, b_{n+1},
+        m, i, text) with b_n - b_{n+1} = m * generator(i), as text shows."""
+        raise InvalidArgumentError("non-stabilizing chains are certified for the grams and power families")
 
     def descriptor(self) -> dict:
         """The name and the options, as ``family_from_config`` reads them."""
@@ -141,6 +173,12 @@ class Explicit(GeneratorFamily):
     name = "explicit"
     monotonicity = FINITE
     options = (("gens", _rationals, True),)
+    properties = {
+        "additive": {
+            **dict.fromkeys(("atomic", "ACCP", "BF", "FF"), ("yes", "known:finitely-generated-monoids-are-FFMs")),
+            "LFF": ("yes", "implied:FF->LFF"),
+        }
+    }
 
     def __init__(self, gens):
         seen: list[Fraction] = []
@@ -184,10 +222,17 @@ class Grams(_PrimeIndexed):
 
     name = "grams"
     monotonicity = DECREASING
-    classify_truncation = {"k": 4}
+    properties = {
+        "additive": {"atomic": ("yes", "closed-form:atoms-are-the-generators (p-adic certificates)"), **_NO_ACCP_ROWS}
+    }
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, 2**n * self.index_prime(n))
+
+    def accp_step(self, n: int) -> tuple[Fraction, Fraction, int, int, str]:
+        # 1/2^n = 1/2^(n+1) + p * 1/(2^(n+1) p), p the prime of generator n+1
+        p = self.index_prime(n + 1)
+        return Fraction(1, 2**n), Fraction(1, 2 ** (n + 1)), p, n + 1, f"{p} * (1/(2^{n + 1}*{p}))"
 
     def index_prime(self, n: int) -> int:
         return nth_prime(n, exclude_two=True)
@@ -211,6 +256,27 @@ class PowerOf(GeneratorFamily):
 
     def generator(self, n: int) -> Fraction:
         return self.q**n
+
+    @property
+    def properties(self) -> dict:
+        if self.q.numerator > 1:
+            return {"additive": {"atomic": ("yes", "closed-form:atoms-are-the-powers-of-q"), **_NO_ACCP_ROWS}}
+        # q = 1/d: every generator splits as q^n = d * q^(n+1), so the
+        # monoid has no atoms at all.
+        return {
+            "additive": {
+                "atomic": ("no", "witness:antimatter-identity q^n = d*q^(n+1)"),
+                "ACCP": ("no", "implied:ACCP->atomic"),
+                "BF": ("no", "implied:BF->ACCP"),
+                "FF": ("no", "implied:FF->BF"),
+                "LFF": ("no", "definition:length-finiteness-presumes-atomicity"),
+            }
+        }
+
+    def accp_step(self, n: int) -> tuple[Fraction, Fraction, int, int, str]:
+        # den * q^n = den * q^(n+1) + (den - num) * q^n
+        num, den = self.q.numerator, self.q.denominator
+        return den * self.q**n, den * self.q ** (n + 1), den - num, n, f"{den - num} * q^{n}"
 
     def check_atom_hypothesis(self) -> None:
         # The atom closed form A = {q^n} needs 1/q not a natural number,
@@ -240,6 +306,15 @@ class UnitFractionPrimes(_PrimeIndexed):
 
     name = "unit-fractions"
     monotonicity = DECREASING
+    properties = {
+        "additive": {
+            "atomic": ("yes", "closed-form:atoms-are-the-unit-fractions (p-adic certificates)"),
+            "ACCP": ("yes", "known:ascending-chains-stabilize-for-this-family"),
+            "BF": ("no", "witness:L(1)-contains-every-prime"),
+            "FF": ("no", "implied:FF->BF"),
+            "LFF": _CO_WELL_ORDERED_LFF,
+        }
+    }
 
     def generator(self, n: int) -> Fraction:
         return Fraction(1, self.index_prime(n))
@@ -262,6 +337,15 @@ class Alternating(_PrimeIndexed):
     name = "alternating"
     monotonicity = NON_MONOTONE
     options = (("primes", _integers, False),)
+    properties = {
+        "additive": {
+            "atomic": ("yes", "closed-form:atoms-are-the-generators (p-adic certificates)"),
+            "ACCP": ("yes", "implied:BF->ACCP"),
+            "BF": ("yes", "implied:FF->BF"),
+            "FF": ("yes", "witness:finite-divisor-bound"),
+            "LFF": ("yes", "implied:FF->LFF"),
+        }
+    }
     classify_truncation = {"k": 10}
 
     def __post_init__(self):
@@ -311,7 +395,9 @@ class ConductorQ(_Dense):
 
     name = "conductor"
     atom_rule = "atoms are Q intersect [1,2)"
+    properties = {"additive": {"atomic": ("yes", "closed-form:atoms-are-[1,2)-rationals"), **_DENSE_ROWS}}
     classify_truncation = {"max_den": 4}
+    lff_targets = {"additive": "conductor"}
 
     def membership(self, x: Fraction) -> tuple[bool, str]:
         if x >= 1:
@@ -337,7 +423,15 @@ class SRing(_Dense):
     name = "sring"
     atom_rule = "atoms are ({1} u [r,r+1)) minus {ceil(r)}"
     options = (("r", _rational, True),)
+    properties = {
+        "additive": {"atomic": ("yes", "closed-form:additive-atoms ({1} u [r,r+1)) \\ {ceil(r)}"), **_DENSE_ROWS},
+        "multiplicative": {
+            "atomic": ("yes", "closed-form:multiplicative-atoms (P u [r,r^2)) \\ P*(S_r)>1"),
+            **_DENSE_ROWS,
+        },
+    }
     classify_truncation = {"max_den": 6}
+    lff_targets = {"additive": "sring-additive", "multiplicative": "sring-multiplicative"}
 
     def __init__(self, r):
         r = Fraction(r)
@@ -366,7 +460,8 @@ class MonoidSpec:
 
     ``k`` bounds the generator index for sequence families; ``max_den``
     bounds denominators of the atom grid for dense families.  Explicit
-    families carry no truncation (queries over them are complete).
+    families carry no truncation (queries over them are complete).  A bound
+    the family never reads is rejected.
     """
 
     family: GeneratorFamily
@@ -377,6 +472,11 @@ class MonoidSpec:
         for label, bound in (("truncation index bound k", self.k), ("denominator bound", self.max_den)):
             if bound is not None and (type(bound) is not int or bound < 1):
                 raise InvalidArgumentError(f"{label} must be an integer >= 1, not {bound!r}")
+        fam = self.family
+        if self.k is not None and (fam.dense or fam.monotonicity == FINITE):
+            raise InvalidArgumentError(f"the {fam.name} family takes no index bound k")
+        if self.max_den is not None and not fam.dense:
+            raise InvalidArgumentError(f"the {fam.name} family takes no denominator bound max_den")
 
     @property
     def is_dense(self) -> bool:

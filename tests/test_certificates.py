@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
+from posmon import certificates
 from posmon.certificates import (
+    _WITNESSES,
     IMPLICATIONS,
     accp_chain,
     bf_violation_unit_fractions,
@@ -61,6 +63,15 @@ class TestAccpChain:
     def test_unsupported_family(self):
         with pytest.raises(InvalidArgumentError):
             accp_chain(ConductorQ(), 1)
+
+    def test_wrong_step_multiple_rejected(self):
+        class WrongMultiple(Grams):
+            def accp_step(self, n):
+                b_n, b_next, m, i, text = super().accp_step(n)
+                return b_n, b_next, m + 1, i, text
+
+        with pytest.raises(AssertionError):
+            accp_chain(WrongMultiple(), 2)
 
 
 class TestBfViolation:
@@ -237,3 +248,46 @@ class TestClassify:
     def test_multiplicative_restricted_to_sring(self):
         with pytest.raises(InvalidArgumentError):
             classify(SPECS["grams"], structure="multiplicative")
+
+    def test_witness_runs_at_the_spec_bound(self, monkeypatch):
+        bounds = []
+
+        def recording(target, spec, s=None):
+            bounds.append(spec.max_den)
+            return lff_violation(target, spec, s)
+
+        monkeypatch.setattr(certificates, "lff_violation", recording)
+        cert = classify(MonoidSpec(ConductorQ(), max_den=9))
+        assert cert.verified and bounds == [9]
+        assert cert.parameters == {"structure": "additive", "max_den": 9}
+
+    def test_absent_bound_comes_from_the_family(self):
+        assert classify(MonoidSpec(Alternating())).parameters == {"structure": "additive", "k": 10}
+        assert "k" not in classify(MonoidSpec(Grams(), k=9)).parameters
+
+    def test_multiplicative_default_s_over_r_grid(self):
+        # every r = n/d with d <= 6 and 1 < r <= 5; the default s must lie
+        # in (r, min(r^2, 2r)) for the length-2 witness to exist
+        grid = sorted({F(n, d) for d in range(1, 7) for n in range(d + 1, 5 * d + 1)})
+        assert len(grid) == 48
+        for r in grid:
+            cert = classify(MonoidSpec(SRing(r), max_den=6), structure="multiplicative")
+            assert cert.verified, r
+
+    def test_bf_and_lff_imply_ff(self):
+        table = {p: {"verdict": "yes", "basis": "-"} for p in ("atomic", "ACCP", "BF", "LFF")}
+        table["FF"] = {"verdict": "no", "basis": "-"}
+        assert not check_classification_consistency(table)
+
+    @pytest.mark.parametrize(
+        "family",
+        [Explicit((2, 3)), Grams(), PowerOf(F(2, 3)), PowerOf(F(1, 2)), UnitFractionPrimes(),
+         Alternating(), ConductorQ(), SRing(F(2))],
+    )
+    def test_family_tables_are_consistent_and_witnessed(self, family):
+        assert family.properties
+        for rows in family.properties.values():
+            table = {p: {"verdict": v, "basis": b} for p, (v, b) in rows.items()}
+            assert list(table) == ["atomic", "ACCP", "BF", "FF", "LFF"]
+            assert check_classification_consistency(table)
+            assert all(b in _WITNESSES for _, b in rows.values() if b.startswith("witness:"))

@@ -103,6 +103,10 @@ class TestFactorizeCommand:
             ),
             (("check", "bf", "--config", config('{"family": "unit-fractions", "max_prime": "7"}')), "usage error:"),
             (("factorize", "--family", "grams", "--q", "2/3", "--k", "3", "--x", "1/3"), "usage error:"),
+            (("check", "bf", "--family", "unit-fractions", "--q", "2/3", "--max-prime", "7"), "usage error:"),
+            (("factorize", "--family", "grams", "--k", "3", "--max-den", "5", "--x", "1/3"), "usage error:"),
+            (("factorize", "--family", "conductor", "--k", "3", "--max-den", "5", "--x", "3", "--length", "2"),
+             "usage error:"),
             (("semiring", "mul", "--family", "explicit", "--gens", "2,3", "--f", "2*x^(1/0)", "--g", "1"), "error:"),
             (("factorize", "--family", "explicit", "--gens", "2,3", "--x", "abc"), "error:"),
             (("factorize", "--family", "explicit", "--gens", "a,3", "--x", "6"), "usage error:"),

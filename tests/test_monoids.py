@@ -302,3 +302,17 @@ class TestFamilyConfig:
             MonoidSpec(Grams(), k=bound)
         with pytest.raises(InvalidArgumentError):
             MonoidSpec(ConductorQ(), max_den=bound)
+
+    @pytest.mark.parametrize(
+        "family,bounds",
+        [
+            (Grams(), {"k": 3, "max_den": 5}),
+            (Alternating(), {"max_den": 5}),
+            (Explicit((2, 3)), {"k": 3}),
+            (ConductorQ(), {"k": 3, "max_den": 5}),
+            (SRing(F(2)), {"k": 3, "max_den": 5}),
+        ],
+    )
+    def test_spec_rejects_a_bound_the_family_never_reads(self, family, bounds):
+        with pytest.raises(InvalidArgumentError):
+            MonoidSpec(family, **bounds)
