@@ -9,7 +9,6 @@ violations.  The battery passes only if every certificate re-verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (
@@ -28,14 +27,16 @@ from .monoids import (
     certified_atoms,
     is_atom,
 )
+from .records import Record
 
 __all__ = ["BatteryItem", "run_battery"]
 
 
-@dataclass(frozen=True)
-class BatteryItem:
-    name: str
-    certificate: Certificate
+class BatteryItem(Record):
+    __slots__ = ("name", "certificate")
+
+    def __init__(self, name: str, certificate: Certificate):
+        self._init(name, certificate)
 
     @property
     def verified(self) -> bool:

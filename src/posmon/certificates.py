@@ -16,7 +16,6 @@ it for every row that cites it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -32,6 +31,7 @@ from .monoids import (
     is_multiplicative_atom,
 )
 from .rationals import is_prime, prime_factors
+from .records import Record
 
 __all__ = [
     "Certificate",
@@ -45,13 +45,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    claim: str
-    family: dict
-    parameters: dict
-    witness: dict = field(compare=False)
-    verified: bool = False
+class Certificate(Record):
+    """A claim with its parameters and witness; equality leaves the witness out."""
+
+    __slots__ = ("claim", "family", "parameters", "witness", "verified")
+    _uncompared = ("witness",)
+
+    def __init__(self, claim: str, family: dict, parameters: dict, witness: dict, verified: bool = False):
+        self._init(claim, family, parameters, witness, verified)
 
     def to_jsonable(self) -> dict:
         return {

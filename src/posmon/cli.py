@@ -9,38 +9,43 @@ success, 1 on usage errors, 2 when a certificate fails to re-verify.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
+from importlib import import_module
 
 from . import __version__
-from . import battery as battery_mod
-from .certificates import (
-    accp_chain,
-    bf_violation_unit_fractions,
-    classify,
-    ffm_divisor_bound_alternating,
-    lff_violation,
-)
 from .errors import PosmonError
-from .factorize import Factorization, enumerate_factorizations, factorizations_of_length, length_set
 from .monoids import _FAMILIES, GeneratorFamily, MonoidSpec, certified_atoms, family_from_config
 from .rationals import is_prime, parse_rational
-from .semiring import (
-    eval_exponential,
-    factor_gp,
-    format_gen_poly,
-    gp_divide,
-    gp_mul,
-    is_irreducible_gp,
-    parse_gen_poly,
-)
-from .sequences import componentwise_sum, longest_strictly_increasing, longest_weakly_decreasing
 
 __all__ = ["main", "build_spec", "report_to_factorizations"]
+
+# The names each runner imports from its subcommand's module when it runs, so
+# a command loads only the modules it uses.  They are attributes of this
+# module too, through __getattr__; never cached here, a read sees the
+# module's current binding.
+_RUNNER_IMPORTS = {
+    "factorize": ("Factorization", "enumerate_factorizations", "factorizations_of_length", "length_set"),
+    "certificates": (
+        "accp_chain", "bf_violation_unit_fractions", "classify", "ffm_divisor_bound_alternating", "lff_violation",
+    ),
+    "battery": ("run_battery",),
+    "semiring": (
+        "eval_exponential", "factor_gp", "format_gen_poly", "gp_divide", "gp_mul", "is_irreducible_gp",
+        "parse_gen_poly",
+    ),
+    "sequences": ("componentwise_sum", "longest_strictly_increasing", "longest_weakly_decreasing"),
+}
+_RUNNER_MODULE = {name: module for module, names in _RUNNER_IMPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _RUNNER_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"posmon.{module}"), name)
 
 
 SCHEMA_VERSION = "posmon/1"
@@ -139,6 +144,8 @@ def _fact_to_wire(z: Factorization) -> list:
 
 def report_to_factorizations(report: dict) -> list[Factorization]:
     """Rebuild exact Factorization objects from a serialized report."""
+    from .factorize import Factorization
+
     out = []
     for wire in report.get("factorizations", []):
         out.append(Factorization(tuple((Fraction(a), int(m)) for a, m in wire)))
@@ -212,6 +219,8 @@ def _cache_descriptor(args) -> dict:
 
 
 def cache_key(descriptor: dict) -> str:
+    import hashlib
+
     canon = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -231,6 +240,8 @@ def _cache_lookup(directory: str, key: str) -> str | None:
 
 
 def _cache_store(directory: str, key: str, text: str) -> None:
+    import tempfile
+
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -244,6 +255,8 @@ def _cache_store(directory: str, key: str, text: str) -> None:
 
 
 def _run_factorize(args) -> tuple[dict, int]:
+    from .factorize import enumerate_factorizations, factorizations_of_length
+
     spec = build_spec(_merged_family_options(args))
     x = parse_rational(args.x)
     if args.length is not None:
@@ -268,6 +281,8 @@ def _run_factorize(args) -> tuple[dict, int]:
 
 
 def _run_lengths(args) -> tuple[dict, int]:
+    from .factorize import length_set
+
     spec = build_spec(_merged_family_options(args))
     x = parse_rational(args.x)
     if spec.is_dense and args.max_len is None:
@@ -284,7 +299,7 @@ def _run_lengths(args) -> tuple[dict, int]:
 
 def _run_atoms(args) -> tuple[dict, int]:
     spec = build_spec(_merged_family_options(args))
-    k = args.count or spec.k
+    k = spec.k if args.count is None else args.count
     if k is None:
         raise UsageError("atoms needs --count (or --k)")
     atoms, method = certified_atoms(spec, k)
@@ -298,6 +313,14 @@ def _run_atoms(args) -> tuple[dict, int]:
 
 
 def _run_check(args) -> tuple[dict, int]:
+    from .certificates import (
+        accp_chain,
+        bf_violation_unit_fractions,
+        classify,
+        ffm_divisor_bound_alternating,
+        lff_violation,
+    )
+
     cfg = _merged_family_options(args)
     kind = args.kind
     if kind == "accp":
@@ -330,7 +353,9 @@ def _run_check(args) -> tuple[dict, int]:
 
 
 def _run_battery(args) -> tuple[dict, int]:
-    items = battery_mod.run_battery()
+    from .battery import run_battery
+
+    items = run_battery()
     report = {
         "items": [
             {"name": item.name, "verified": item.verified, "certificate": item.certificate.to_jsonable()}
@@ -343,6 +368,16 @@ def _run_battery(args) -> tuple[dict, int]:
 
 
 def _run_semiring(args) -> tuple[dict, int]:
+    from .semiring import (
+        eval_exponential,
+        factor_gp,
+        format_gen_poly,
+        gp_divide,
+        gp_mul,
+        is_irreducible_gp,
+        parse_gen_poly,
+    )
+
     spec = build_spec(_merged_family_options(args))
     f = parse_gen_poly(spec, args.f)
     report: dict = {"query": {"op": f"semiring-{args.kind}", "f": format_gen_poly(f)},
@@ -372,7 +407,7 @@ def _run_semiring(args) -> tuple[dict, int]:
         report["witness"] = None if verdict.witness is None else [[str(e), c] for e, c in verdict.witness.terms]
         report["explored"] = verdict.explored
     else:  # factor
-        found = factor_gp(f, args.max_len or 8)
+        found = factor_gp(f, 8 if args.max_len is None else args.max_len)
         report["max_len"] = found.max_len
         report["factorizations"] = [
             [[[str(e), c] for e, c in g.terms] for g in fs] for fs in found.factorizations
@@ -387,6 +422,8 @@ def _read_sequence(path: str) -> list[Fraction]:
 
 
 def _run_seq(args) -> tuple[dict, int]:
+    from .sequences import componentwise_sum, longest_strictly_increasing, longest_weakly_decreasing
+
     if args.kind == "sum":
         if len(args.input) < 1:
             raise UsageError("seq sum requires at least one --input")
@@ -468,6 +505,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_rows", 0) < 0:
+            parser.error(f"argument --max-rows: must be >= 0, not {args.max_rows}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,8 @@ against the queried element before it leaves this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import (
     CertificateUnavailableError,
@@ -22,6 +22,7 @@ from .errors import (
     UnboundedQueryError,
 )
 from .monoids import DECREASING, FINITE, MonoidSpec, _split, contains, generators
+from .records import Record
 from .search import search
 
 __all__ = [
@@ -44,22 +45,37 @@ COMPLETE_FOR_LENGTH = "complete-for-length"
 TRUNCATION_BOUNDED = "truncation-bounded"
 
 
-@dataclass(frozen=True, order=True)
-class Factorization:
-    """A finite multiset of atoms, stored as (atom, multiplicity) ascending."""
+@total_ordering
+class Factorization(Record):
+    """A finite multiset of atoms, stored as (atom, multiplicity) ascending;
+    factorizations order as their ``parts``."""
 
-    parts: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        for atom, mult in self.parts:
+    def __init__(self, parts: tuple[tuple[Fraction, int], ...]):
+        for atom, mult in parts:
             if atom <= 0:
                 raise InvalidArgumentError(f"atom {atom} is not strictly positive")
             if mult < 1:
                 raise InvalidArgumentError("multiplicities must be >= 1")
-        if list(self.parts) != sorted(self.parts):
+        if list(parts) != sorted(parts):
             raise InvalidArgumentError("parts must be sorted ascending by atom")
-        if len({a for a, _ in self.parts}) != len(self.parts):
+        if len({a for a, _ in parts}) != len(parts):
             raise InvalidArgumentError("repeated atom entries; merge multiplicities")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts < other.parts
 
     @classmethod
     def from_atoms(cls, atoms) -> "Factorization":
@@ -92,11 +108,13 @@ class Factorization:
         return "[" + ", ".join(str(a) for a in self.expanded()) + "]"
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    factorizations: tuple[Factorization, ...]
-    completeness: str
-    truncation: dict
+class QueryResult(Record):
+    __slots__ = ("factorizations", "completeness", "truncation")
+
+    def __init__(self, factorizations: tuple[Factorization, ...], completeness: str, truncation: dict):
+        object.__setattr__(self, "factorizations", factorizations)
+        object.__setattr__(self, "completeness", completeness)
+        object.__setattr__(self, "truncation", truncation)
 
     @property
     def lengths(self) -> list[int]:

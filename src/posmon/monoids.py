@@ -21,7 +21,8 @@ queries (``contains``, ``is_atom``, ``certified_atoms`` and
   per candidate split.
 
 Each family class declares its options once, as ``(key, parser, required)``
-rows in ``options``.  The CLI flags, ``--config`` files and
+rows in ``options``; they are also the family's record fields, which its
+equality, hash and ``repr`` read.  The CLI flags, ``--config`` files and
 ``family_from_config`` read the rows; ``descriptor()`` writes them back out.
 
 Each family class also declares its property table, ``properties``: per
@@ -35,7 +36,6 @@ witness family of each structure from ``lff_targets``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
 
@@ -47,6 +47,7 @@ from .errors import (
     UnboundedQueryError,
 )
 from .rationals import is_prime, nth_prime, padic_valuation, parse_rational, prime_factors
+from .records import Record
 from .search import search
 
 __all__ = [
@@ -122,9 +123,12 @@ _DENSE_ROWS = {
 }
 
 
-class GeneratorFamily:
-    """Base class; concrete families are frozen dataclasses below."""
+class GeneratorFamily(Record):
+    """Base class; each concrete family below is a record whose fields are its
+    ``options`` keys.  Two families are equal when they are of one class and
+    their option values are equal."""
 
+    __slots__ = ("_key",)  # the option values, in ``options`` row order
     name: str = "family"
     dense: bool = False
     monotonicity: str = NON_MONOTONE
@@ -132,6 +136,23 @@ class GeneratorFamily:
     properties: dict = {}
     classify_truncation: dict = {}
     lff_targets: dict = {}
+
+    def __init__(self):  # a family with options sets them through _set_options
+        object.__setattr__(self, "_key", ())
+
+    def _set_options(self, *values) -> None:
+        """Set the option fields, one value per ``options`` row, in row order."""
+        for (key, _, _), value in zip(self.options, values):
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "_key", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def generator(self, n: int) -> Fraction:
         raise NotSequenceGeneratedError(f"{self.name} has no generator sequence")
@@ -165,11 +186,10 @@ class GeneratorFamily:
         return d
 
 
-@dataclass(frozen=True)
 class Explicit(GeneratorFamily):
     """Finitely many explicit positive rational generators."""
 
-    gens: tuple[Fraction, ...]
+    __slots__ = ("gens",)
     name = "explicit"
     monotonicity = FINITE
     options = (("gens", _rationals, True),)
@@ -190,7 +210,7 @@ class Explicit(GeneratorFamily):
                 seen.append(g)
         if not seen:
             raise InvalidArgumentError("explicit family needs at least one generator")
-        object.__setattr__(self, "gens", tuple(seen))
+        self._set_options(tuple(seen))
 
     def generator(self, n: int) -> Fraction:
         return self.gens[n]
@@ -216,10 +236,10 @@ class _PrimeIndexed(GeneratorFamily):
         return f"unique generator with negative {p}-adic valuation"
 
 
-@dataclass(frozen=True)
 class Grams(_PrimeIndexed):
     """Generators 1/(2^n p_n), p_n the n-th odd prime, n >= 0."""
 
+    __slots__ = ()
     name = "grams"
     monotonicity = DECREASING
     properties = {
@@ -238,11 +258,10 @@ class Grams(_PrimeIndexed):
         return nth_prime(n, exclude_two=True)
 
 
-@dataclass(frozen=True)
 class PowerOf(GeneratorFamily):
     """Generators q^n, n >= 0, for rational q in (0, 1)."""
 
-    q: Fraction
+    __slots__ = ("q",)
     name = "power"
     monotonicity = DECREASING
     method = "closed-form"
@@ -252,7 +271,7 @@ class PowerOf(GeneratorFamily):
         q = Fraction(q)
         if not 0 < q < 1:
             raise InvalidArgumentError("power family needs 0 < q < 1")
-        object.__setattr__(self, "q", q)
+        self._set_options(q)
 
     def generator(self, n: int) -> Fraction:
         return self.q**n
@@ -300,10 +319,10 @@ class PowerOf(GeneratorFamily):
         return f"generators separated by {p}-adic valuation; closed form certified"
 
 
-@dataclass(frozen=True)
 class UnitFractionPrimes(_PrimeIndexed):
     """Generators 1/p over the primes p in increasing order."""
 
+    __slots__ = ()
     name = "unit-fractions"
     monotonicity = DECREASING
     properties = {
@@ -323,7 +342,6 @@ class UnitFractionPrimes(_PrimeIndexed):
         return nth_prime(n + 1)
 
 
-@dataclass(frozen=True)
 class Alternating(_PrimeIndexed):
     """Generators a_n = 1 + (-1)^n / p_n over a strictly increasing prime sequence.
 
@@ -333,7 +351,7 @@ class Alternating(_PrimeIndexed):
     co-well-ordered.
     """
 
-    primes: tuple[int, ...] | None = None
+    __slots__ = ("primes",)
     name = "alternating"
     monotonicity = NON_MONOTONE
     options = (("primes", _integers, False),)
@@ -348,16 +366,16 @@ class Alternating(_PrimeIndexed):
     }
     classify_truncation = {"k": 10}
 
-    def __post_init__(self):
-        if self.primes is not None:
-            ps = tuple(self.primes)
-            if not ps:
+    def __init__(self, primes=None):
+        if primes is not None:
+            primes = tuple(primes)
+            if not primes:
                 raise InvalidArgumentError("custom prime sequence is empty")
-            if any(not is_prime(p) for p in ps):
+            if any(not is_prime(p) for p in primes):
                 raise InvalidArgumentError("custom sequence contains a non-prime")
-            if any(a >= b for a, b in zip(ps, ps[1:])):
+            if any(a >= b for a, b in zip(primes, primes[1:])):
                 raise InvalidArgumentError("custom prime sequence must strictly increase")
-            object.__setattr__(self, "primes", ps)
+        self._set_options(primes)
 
     def index_prime(self, n: int) -> int:
         """The prime attached to generator n (0-based): p_{n+1} above."""
@@ -380,6 +398,7 @@ class _Dense(GeneratorFamily):
     a member a > 0; ``atom_rule`` describes it) and ``atom_window(d)`` (the
     numerators n for which n/d can be an atom)."""
 
+    __slots__ = ()
     dense = True
     monotonicity = DENSE
 
@@ -389,10 +408,10 @@ class _Dense(GeneratorFamily):
         return sorted(a for a in grid if self.is_atom(a))
 
 
-@dataclass(frozen=True)
 class ConductorQ(_Dense):
     """The dense positive monoid {0} u (Q intersect [1, oo))."""
 
+    __slots__ = ()
     name = "conductor"
     atom_rule = "atoms are Q intersect [1,2)"
     properties = {"additive": {"atomic": ("yes", "closed-form:atoms-are-[1,2)-rationals"), **_DENSE_ROWS}}
@@ -411,7 +430,6 @@ class ConductorQ(_Dense):
         return range(d, 2 * d)
 
 
-@dataclass(frozen=True)
 class SRing(_Dense):
     """The rational points of S_r = N0 u R>=r for rational r > 1.
 
@@ -419,7 +437,7 @@ class SRing(_Dense):
     multiplicative atom closed form is exposed via is_multiplicative_atom.
     """
 
-    r: Fraction
+    __slots__ = ("r",)
     name = "sring"
     atom_rule = "atoms are ({1} u [r,r+1)) minus {ceil(r)}"
     options = (("r", _rational, True),)
@@ -437,7 +455,7 @@ class SRing(_Dense):
         r = Fraction(r)
         if r <= 1:
             raise InvalidArgumentError("sring family needs rational r > 1")
-        object.__setattr__(self, "r", r)
+        self._set_options(r)
 
     def membership(self, x: Fraction) -> tuple[bool, str]:
         if x.denominator == 1:
@@ -454,8 +472,7 @@ class SRing(_Dense):
         return (1, *window) if d == 1 else window
 
 
-@dataclass(frozen=True)
-class MonoidSpec:
+class MonoidSpec(Record):
     """A generator family plus the truncation a query is certified against.
 
     ``k`` bounds the generator index for sequence families; ``max_den``
@@ -464,19 +481,27 @@ class MonoidSpec:
     the family never reads is rejected.
     """
 
-    family: GeneratorFamily
-    k: int | None = None
-    max_den: int | None = None
+    __slots__ = ("family", "k", "max_den")
 
-    def __post_init__(self):
-        for label, bound in (("truncation index bound k", self.k), ("denominator bound", self.max_den)):
+    def __init__(self, family: GeneratorFamily, k: int | None = None, max_den: int | None = None):
+        for label, bound in (("truncation index bound k", k), ("denominator bound", max_den)):
             if bound is not None and (type(bound) is not int or bound < 1):
                 raise InvalidArgumentError(f"{label} must be an integer >= 1, not {bound!r}")
-        fam = self.family
-        if self.k is not None and (fam.dense or fam.monotonicity == FINITE):
-            raise InvalidArgumentError(f"the {fam.name} family takes no index bound k")
-        if self.max_den is not None and not fam.dense:
-            raise InvalidArgumentError(f"the {fam.name} family takes no denominator bound max_den")
+        if k is not None and (family.dense or family.monotonicity == FINITE):
+            raise InvalidArgumentError(f"the {family.name} family takes no index bound k")
+        if max_den is not None and not family.dense:
+            raise InvalidArgumentError(f"the {family.name} family takes no denominator bound max_den")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "max_den", max_den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.k, self.max_den) == (other.family, other.k, other.max_den)
+
+    def __hash__(self):
+        return hash((self.family, self.k, self.max_den))
 
     @property
     def is_dense(self) -> bool:
@@ -507,26 +532,55 @@ class MonoidSpec:
         return d
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     """Membership verdict plus the evidence that produced it.
 
     ``combination`` lists (generator, multiplicity) pairs when the family is
     generator-enumerated; dense families justify membership by ``reason``.
-    A False verdict is always relative to the truncation recorded here.
+    A False verdict is always relative to the truncation recorded here, which
+    equality leaves out.
     """
 
-    member: bool
-    combination: tuple[tuple[Fraction, int], ...] | None
-    reason: str
-    truncation: dict = field(compare=False, default_factory=dict)
+    __slots__ = ("member", "combination", "reason", "truncation")
+
+    def __init__(
+        self,
+        member: bool,
+        combination: tuple[tuple[Fraction, int], ...] | None,
+        reason: str,
+        truncation: dict | None = None,
+    ):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "combination", combination)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "truncation", {} if truncation is None else truncation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.member, self.combination, self.reason) == (other.member, other.combination, other.reason)
+
+    def __hash__(self):
+        return hash((self.member, self.combination, self.reason))
 
 
-@dataclass(frozen=True)
-class AtomVerdict:
-    is_atom: bool
-    method: str  # closed-form | p-adic-certificate | bounded-search
-    detail: str = ""
+class AtomVerdict(Record):
+    """``method`` is closed-form, p-adic-certificate or bounded-search."""
+
+    __slots__ = ("is_atom", "method", "detail")
+
+    def __init__(self, is_atom: bool, method: str, detail: str = ""):
+        object.__setattr__(self, "is_atom", is_atom)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.is_atom, self.method, self.detail) == (other.is_atom, other.method, other.detail)
+
+    def __hash__(self):
+        return hash((self.is_atom, self.method, self.detail))
 
 
 def generators(spec: MonoidSpec, k: int | None = None) -> list[Fraction]:

@@ -16,15 +16,14 @@ elimination and bounded enumeration are exact and terminating.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import InvalidArgumentError, UnsupportedFamilyError
 from .monoids import MonoidSpec, contains, generators
 from .rationals import parse_rational
+from .records import Record
 
 __all__ = [
     "GenPoly",
@@ -47,12 +46,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenPoly:
+class GenPoly(Record):
     """Sparse exponent -> coefficient map; exponents live in spec's monoid."""
 
-    spec: MonoidSpec
-    terms: tuple[tuple[Fraction, int], ...]  # ascending by exponent, coeffs >= 1
+    __slots__ = ("spec", "terms")
+
+    def __init__(self, spec: MonoidSpec, terms: tuple[tuple[Fraction, int], ...]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "terms", terms)  # ascending by exponent, coeffs >= 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.terms) == (other.spec, other.terms)
+
+    def __hash__(self):
+        return hash((self.spec, self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -144,13 +153,11 @@ def gp_mul(f: GenPoly, g: GenPoly) -> GenPoly:
     return GenPoly(f.spec, _validated_terms(f.spec, acc, check_membership=False))
 
 
-@dataclass(frozen=True)
-class PolyStats:
-    deg: Fraction
-    lc: int
-    ord: Fraction
-    exponent_set: tuple[Fraction, ...]
-    eval_at_one: int
+class PolyStats(Record):
+    __slots__ = ("deg", "lc", "ord", "exponent_set", "eval_at_one")
+
+    def __init__(self, deg: Fraction, lc: int, ord: Fraction, exponent_set: tuple[Fraction, ...], eval_at_one: int):
+        self._init(deg, lc, ord, exponent_set, eval_at_one)
 
 
 def gp_stats(f: GenPoly) -> PolyStats:
@@ -171,6 +178,8 @@ def eval_exponential(f: GenPoly, precision: int = 12) -> Decimal:
 
     Display layer only: verdicts elsewhere never consult this value.
     """
+    from decimal import Decimal, localcontext
+
     if precision < 1:
         raise InvalidArgumentError("precision must be >= 1")
     if f.is_zero:
@@ -350,12 +359,11 @@ def _candidate_divisors(f: GenPoly):
     return candidates, explored
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    irreducible: bool
-    witness: GenPoly | None
-    cofactor: GenPoly | None
-    explored: dict
+class IrreducibilityReport(Record):
+    __slots__ = ("irreducible", "witness", "cofactor", "explored")
+
+    def __init__(self, irreducible: bool, witness: GenPoly | None, cofactor: GenPoly | None, explored: dict):
+        self._init(irreducible, witness, cofactor, explored)
 
 
 def is_irreducible_gp(f: GenPoly) -> IrreducibilityReport:
@@ -373,10 +381,11 @@ def is_irreducible_gp(f: GenPoly) -> IrreducibilityReport:
     return IrreducibilityReport(True, None, None, explored)
 
 
-@dataclass(frozen=True)
-class GpFactorizations:
-    factorizations: tuple[tuple[GenPoly, ...], ...]
-    max_len: int
+class GpFactorizations(Record):
+    __slots__ = ("factorizations", "max_len")
+
+    def __init__(self, factorizations: tuple[tuple[GenPoly, ...], ...], max_len: int):
+        self._init(factorizations, max_len)
 
     @property
     def lengths(self) -> set[int]:
@@ -435,15 +444,21 @@ def factor_gp(f: GenPoly, max_len: int) -> GpFactorizations:
     return GpFactorizations(tuple(ordered), max_len)
 
 
-_TERM_RE = re.compile(
-    r"""^\s*(?:(?P<coeff>\d+)\s*\*?\s*)?   # optional integer coefficient
+@cache
+def _term_re():
+    """A term of parse_gen_poly's syntax, compiled on first use, not at import."""
+    import re
+
+    return re.compile(
+        r"""^\s*(?:(?P<coeff>\d+)\s*\*?\s*)?   # optional integer coefficient
         (?:x(?:\^(?P<exp>\(\s*-?\d+(?:/\d+)?\s*\)|\d+))?)?\s*$""",
-    re.VERBOSE,
-)
+        re.VERBOSE,
+    )
 
 
 def parse_gen_poly(spec: MonoidSpec, text: str) -> GenPoly:
     """Parse `3*x^(5/2) + x^(2/3) + 1` style syntax into a polynomial."""
+    term = _term_re()
     mapping: dict[Fraction, int] = {}
     text = text.strip()
     if not text:
@@ -451,7 +466,7 @@ def parse_gen_poly(spec: MonoidSpec, text: str) -> GenPoly:
     if text == "0":
         return gp_zero(spec)
     for chunk in text.split("+"):
-        m = _TERM_RE.match(chunk)
+        m = term.match(chunk)
         if not m or (m.group("coeff") is None and "x" not in chunk):
             raise InvalidArgumentError(f"cannot parse term {chunk.strip()!r}")
         coeff = int(m.group("coeff") or 1)

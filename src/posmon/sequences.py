@@ -9,10 +9,10 @@ componentwise.  Indices in witnesses are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundTooSmallError, InvalidArgumentError
+from .records import Record
 
 __all__ = [
     "MonotoneWitness",
@@ -23,11 +23,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonotoneWitness:
-    kind: str  # "strictly-increasing" | "weakly-decreasing"
-    indices: tuple[int, ...]
-    values: tuple[Fraction, ...]
+class MonotoneWitness(Record):
+    """``kind`` is "strictly-increasing" or "weakly-decreasing"."""
+
+    __slots__ = ("kind", "indices", "values")
+
+    def __init__(self, kind: str, indices: tuple[int, ...], values: tuple[Fraction, ...]):
+        self._init(kind, indices, values)
 
     @property
     def length(self) -> int:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from posmon.cli import cache_key, report_to_factorizations
+from posmon.cli import cache_key, main, report_to_factorizations
 from posmon.factorize import Factorization
 
 F = Fraction
@@ -120,6 +120,30 @@ class TestFactorizeCommand:
             assert proc.returncode == 1, argv
             assert proc.stderr.startswith(prefix), (argv, proc.stderr)
             assert "Traceback" not in proc.stderr, argv
+
+
+class TestExplicitBounds:
+    """An explicit 0 or negative bound is checked, never replaced by a default."""
+
+    def run_main(self, capsys, *argv):
+        status = main([*argv, "--no-cache"])
+        return (status, *capsys.readouterr())
+
+    def test_atoms_count_zero(self, capsys):
+        status, out, err = self.run_main(capsys, "atoms", "--family", "grams", "--count", "0", "--k", "3")
+        assert (status, out, err) == (1, "", "error: k must be >= 1\n")
+
+    def test_semiring_factor_max_len_zero(self, capsys):
+        argv = ("semiring", "factor", "--family", "explicit", "--gens", "2,3", "--f", "x^4 + 2*x^2 + 1")
+        status, out, err = self.run_main(capsys, *argv, "--max-len", "0")
+        assert (status, out, err) == (1, "", "error: max_len must be >= 1\n")
+
+    def test_negative_max_rows_is_a_usage_error(self, capsys):
+        argv = ("factorize", "--family", "explicit", "--gens", "2,3", "--x", "7", "--format", "table")
+        status, out, err = self.run_main(capsys, *argv, "--max-rows", "-1")
+        assert (status, out, err) == (1, "", "usage error: argument --max-rows: must be >= 0, not -1\n")
+        status, out, _ = self.run_main(capsys, *argv, "--max-rows", "0")
+        assert status == 0 and "factorizations:\n  ... and 1 more\n" in out
 
 
 class TestOtherQueries:
