@@ -15,8 +15,7 @@ _EXPORTS = {
     ),
     "factorize": (
         "COMPLETE", "COMPLETE_FOR_LENGTH", "TRUNCATION_BOUNDED", "Factorization", "QueryResult",
-        "completeness_certificate", "enumerate_factorizations", "factorizations_of_length", "is_irredundant_pair",
-        "length_set", "maximal_irredundant_subset",
+        "completeness_certificate", "enumerate_factorizations", "factorizations_of_length", "length_set",
     ),
     "monoids": (
         "Alternating", "ConductorQ", "Explicit", "GeneratorFamily", "Grams", "MonoidSpec", "PowerOf", "SRing",

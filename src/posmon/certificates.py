@@ -25,6 +25,7 @@ from .monoids import (
     Alternating,
     GeneratorFamily,
     MonoidSpec,
+    SRing,
     UnitFractionPrimes,
     contains,
     is_atom,
@@ -136,43 +137,28 @@ def _additive_pairs(fam: GeneratorFamily, x: Fraction, max_den: int) -> list[tup
     slice can find fewer pairs.  For an integral x (the conductor's x = 3)
     both parts share a denominator and the two agree.
     """
-    pairs = []
-    for d in range(1, max_den + 1):
-        for n in range(1, int(x * d) + 1):
-            a = Fraction(n, d)
-            if a.denominator != d or 2 * a > x:
-                continue
-            if fam.is_atom(a) and fam.is_atom(x - a):
-                pairs.append((a, x - a))
-    return sorted(set(pairs))
+    return [(a, x - a) for a in fam.grid_atoms(max_den) if 2 * a <= x and fam.is_atom(x - a)]
 
 
-def _sring_multiplicative_pairs(
-    spec: MonoidSpec, s: Fraction, max_den: int
-) -> list[tuple[Fraction, Fraction]]:
+def _sring_multiplicative_pairs(fam: SRing, s: Fraction, max_den: int) -> list[tuple[Fraction, Fraction]]:
     """Unordered pairs (u, s^2/u) of multiplicative atoms; u runs over the
-    denominator grid, the cofactor is unconstrained (it is determined by u).
+    denominator grid of the family's multiplicative window, the cofactor is
+    unconstrained (it is determined by u).
     """
     target = s * s
     pairs = set()
-    r = spec.family.r
-    lo, hi = r, r * r
     for d in range(1, max_den + 1):
-        n = int(lo * d)
-        while Fraction(n, d) < hi:
+        for n in fam.multiplicative_window(d):
             u = Fraction(n, d)
-            n += 1
-            if u.denominator != d or u < lo:
-                continue
             v = target / u  # the cofactor is determined; its denominator is unconstrained
-            try:
-                if (
-                    is_multiplicative_atom(spec, u).is_atom
-                    and is_multiplicative_atom(spec, v).is_atom
-                ):
-                    pairs.add((min(u, v), max(u, v)))
-            except (InvalidArgumentError, NotAMemberError):
-                continue
+            if (
+                u.denominator == d
+                and v > 1
+                and fam.membership(v)[0]
+                and fam.multiplicative_atom(u)[0]
+                and fam.multiplicative_atom(v)[0]
+            ):
+                pairs.add((min(u, v), max(u, v)))
     return sorted(pairs)
 
 
@@ -194,11 +180,14 @@ def lff_violation(target: str, spec: MonoidSpec, s: Fraction | None = None) -> C
             # Inside (r, min(r^2, 2r)): the non-integer multiplicative atoms
             # lie in [r, 2r), so a larger s^2 has only the pairs with a prime part.
             s = (r + r * r) / 2 if r < 3 else 3 * r / 2
-        s = Fraction(s)
-        if not r < s < r * r:
-            raise InvalidArgumentError(f"s must lie strictly between r and r^2, got {s}")
+        s, top = Fraction(s), min(r * r, 2 * r)
+        # Every multiplicative atom lies below min(r^2, 2r), so no two multiply to a larger s^2.
+        if not r < s < top:
+            raise InvalidArgumentError(f"s must lie strictly between r = {r} and min(r^2, 2r) = {top}, got {s}")
         x, combine, atom, shown = s * s, operator.mul, is_multiplicative_atom, {"s": str(s)}
-        pairs_at = partial(_sring_multiplicative_pairs, spec, s)
+        pairs_at = partial(_sring_multiplicative_pairs, fam, s)
+    elif s is not None:
+        raise InvalidArgumentError(f"s applies to the sring-multiplicative witness only, not to {target}")
     else:
         x = Fraction(3) if target == "conductor" else 2 * fam.r + 1
         combine, atom, shown = operator.add, is_atom, {}

@@ -36,8 +36,6 @@ __all__ = [
     "factorizations_of_length",
     "length_set",
     "completeness_certificate",
-    "is_irredundant_pair",
-    "maximal_irredundant_subset",
 ]
 
 COMPLETE = "complete"
@@ -92,10 +90,6 @@ class Factorization(Record):
     @property
     def value(self) -> Fraction:
         return sum((a * m for a, m in self.parts), Fraction(0))
-
-    @property
-    def support(self) -> frozenset[Fraction]:
-        return frozenset(a for a, _ in self.parts)
 
     def expanded(self) -> tuple[Fraction, ...]:
         """The multiset as a sorted tuple with repetitions."""
@@ -251,34 +245,3 @@ def completeness_certificate(
     threshold = x - (length - 1) * a_max
     return threshold >= min(atoms), threshold
 
-
-def is_irredundant_pair(z1: Factorization, z2: Factorization) -> bool:
-    """True iff the two factorizations share no atom."""
-    return not (z1.support & z2.support)
-
-
-def maximal_irredundant_subset(zs) -> list[Factorization]:
-    """A maximal irredundant subset, greedy in deterministic order.
-
-    All inputs must factor the same element.  The returned subset is pairwise
-    atom-disjoint, and every input factorization shares an atom with some
-    member (checked before returning).
-    """
-    zs = sorted(set(zs), key=lambda z: z.expanded())
-    if not zs:
-        return []
-    values = {z.value for z in zs}
-    if len(values) > 1:
-        raise InvalidArgumentError(
-            f"factorizations of distinct elements {sorted(values)} cannot be compared"
-        )
-    chosen: list[Factorization] = []
-    used: set[Fraction] = set()
-    for z in zs:
-        if not (z.support & used):
-            chosen.append(z)
-            used.update(z.support)
-    for z in zs:
-        if not any(z.support & c.support for c in chosen):
-            raise AssertionError("maximality postcondition failed")
-    return chosen

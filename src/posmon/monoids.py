@@ -10,6 +10,8 @@ queries (``contains``, ``is_atom``, ``certified_atoms`` and
   S_r = N0 u Q>=r) are never enumerated.  Each writes its ``membership``
   rule, its ``is_atom`` predicate and its ``atom_window`` once; the shared
   dense base builds the atom grid of bounded denominator (``grid_atoms``).
+  S_r also writes its multiplicative atoms (``multiplicative_atom``, over
+  ``multiplicative_window``), which ``is_multiplicative_atom`` reads.
 * Sequence families (Grams, powers of q, unit fractions over primes, the
   alternating family) expose their first ``k`` generators exactly; each
   generator's atomhood is machine-checked by the family's
@@ -433,8 +435,8 @@ class ConductorQ(_Dense):
 class SRing(_Dense):
     """The rational points of S_r = N0 u R>=r for rational r > 1.
 
-    Both a positive monoid (additively) and a positive semiring; the
-    multiplicative atom closed form is exposed via is_multiplicative_atom.
+    Both a positive monoid (additively) and a positive semiring, whose
+    multiplicative atoms are the closed form ``multiplicative_atom``.
     """
 
     __slots__ = ("r",)
@@ -470,6 +472,29 @@ class SRing(_Dense):
     def atom_window(self, d: int):
         window = range(ceil(self.r * d), ceil((self.r + 1) * d))  # [r, r+1)
         return (1, *window) if d == 1 else window
+
+    def multiplicative_window(self, d: int):
+        """The numerators n for which n/d can be a multiplicative atom >= r:
+        [r, min(r^2, 2r)).  The atoms below r are primes."""
+        return range(ceil(self.r * d), ceil(min(self.r * self.r, 2 * self.r) * d))
+
+    def multiplicative_atom(self, x: Fraction) -> tuple[bool, str]:
+        """Verdict and detail for a member x > 1.  The atoms are the primes
+        below min(r^2, 2r) and the non-integers in [r, min(r^2, 2r)).  A
+        non-atom of the base set P_{<r^2} u [r, r^2) is p * x/p for the least
+        prime p with x/p > 1 in S_r: 2 once x >= 2r, else the least prime
+        factor of an integer x (below 2r, x/p < r must be an integer)."""
+        r = self.r
+        integral = x.denominator == 1
+        if not (r <= x < r * r or (integral and x < r * r and is_prime(x.numerator))):
+            return False, "outside P_{<r^2} u [r, r^2)"
+        if x >= 2 * r:
+            p = 2
+        elif integral and not is_prime(x.numerator):
+            p = min(prime_factors(x.numerator))
+        else:
+            return True, "in base set and not p * (S_r element > 1)"
+        return False, f"{x} = {p} * {x / p} with {x / p} in S_r"
 
 
 class MonoidSpec(Record):
@@ -687,11 +712,12 @@ def is_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVerdict:
 def is_multiplicative_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVerdict:
     """Atomhood in the multiplicative monoid of S_r.
 
-    Closed form: (P_{<r^2} u [r, r^2)) minus P*(S_r)_{>1}; the removed set is
-    decided by the finite loop over primes p < x testing x/p in S_r, x/p > 1.
+    Closed form: (P_{<r^2} u [r, r^2)) minus P*(S_r)_{>1}, which leaves the
+    primes below min(r^2, 2r) and the non-integers in [r, min(r^2, 2r));
+    decided by the family's ``multiplicative_atom``.
     """
     fam = spec.family
-    if not isinstance(fam, SRing):
+    if "multiplicative" not in fam.properties:
         raise InvalidArgumentError("multiplicative atoms are defined for the sring family")
     x = Fraction(x)
     if x <= 0:
@@ -700,20 +726,8 @@ def is_multiplicative_atom(spec: MonoidSpec, x: Fraction | int | str) -> AtomVer
         raise NotAMemberError(f"{x} is not in S_r")
     if x == 1:
         raise InvalidArgumentError("1 is the multiplicative unit, never an atom")
-    r = fam.r
-    in_base = (x.denominator == 1 and x < r * r and is_prime(x.numerator)) or (
-        r <= x < r * r
-    )
-    if not in_base:
-        return AtomVerdict(False, "closed-form", "outside P_{<r^2} u [r, r^2)")
-    p = 2
-    while p < x:
-        if is_prime(p):
-            y = x / p
-            if y > 1 and fam.membership(y)[0]:
-                return AtomVerdict(False, "closed-form", f"{x} = {p} * {y} with {y} in S_r")
-        p += 1
-    return AtomVerdict(True, "closed-form", "in base set and not p * (S_r element > 1)")
+    atom, detail = fam.multiplicative_atom(x)
+    return AtomVerdict(atom, "closed-form", detail)
 
 
 _FAMILIES = {

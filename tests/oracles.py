@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 
 
 def naive_member(gens: list[Fraction], x: Fraction) -> bool:
@@ -87,6 +87,28 @@ def naive_factorizations(
 
     rec(0, x, ())
     return out
+
+
+def naive_multiplicative_atom(r: Fraction, x: Fraction) -> tuple[bool, str]:
+    """Atomhood of x > 1 in the multiplicative monoid of S_r = N0 u Q>=r, with
+    the detail strings of ``SRing.multiplicative_atom``.
+
+    The base set P_{<r^2} u [r, r^2) minus the products p * y, y > 1 in S_r:
+    every integer p < x is tried in turn, with trial-division primality.
+    """
+
+    def prime(n: int) -> bool:
+        return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+    if not ((x.denominator == 1 and x < r * r and prime(x.numerator)) or r <= x < r * r):
+        return False, "outside P_{<r^2} u [r, r^2)"
+    p = 2
+    while p < x:
+        y = x / p
+        if prime(p) and y > 1 and (y.denominator == 1 or y >= r):
+            return False, f"{x} = {p} * {y} with {y} in S_r"
+        p += 1
+    return True, "in base set and not p * (S_r element > 1)"
 
 
 def exhaustive_lis_length(seq) -> int:

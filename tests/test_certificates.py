@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -162,9 +164,98 @@ class TestLffViolation:
             assert cert.witness["count"] == pairs
             assert len(factorizations_of_length(spec, x, 2)) == slice_
 
+    @pytest.mark.parametrize("family", [ConductorQ(), SRing(F(2)), SRing(F(7, 3)), SRing(F(8, 7)), SRing(F(11, 4))])
+    def test_additive_pairs_match_the_whole_range_scan(self, family):
+        # the atom-window grid finds the pairs a scan of every n/d in (0, x] finds
+        x = F(3) if family.name == "conductor" else 2 * family.r + 1
+        for max_den in range(1, 9):
+            brute = sorted(
+                (F(n, d), x - F(n, d))
+                for d in range(1, max_den + 1)
+                for n in range(1, int(x * d) + 1)
+                if gcd(n, d) == 1 and 2 * F(n, d) <= x and family.is_atom(F(n, d)) and family.is_atom(x - F(n, d))
+            )
+            assert certificates._additive_pairs(family, x, max_den) == brute, max_den
+
+    def test_multiplicative_pairs_are_pinned(self):
+        # count and digest of the default-s witness pairs at D = 6, as found
+        # by a scan of the whole grid [r, r^2) with a prime loop per point
+        for r, pinned in MULTIPLICATIVE_PAIRS_AT_6.items():
+            pairs = lff_violation("sring-multiplicative", MonoidSpec(SRing(F(r)), max_den=6)).witness["pairs"]
+            assert (len(pairs), hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16]) == pinned, r
+
+    @pytest.mark.parametrize("r,s,max_den", [(F(3), F(7), 30), (F(5, 2), F(11, 2), 24)])
+    def test_s_at_or_above_min_r2_2r_is_rejected(self, r, s, max_den):
+        # every multiplicative atom lies below min(r^2, 2r), so no bound finds a pair for s^2
+        with pytest.raises(InvalidArgumentError, match=r"strictly between r = .* and min\(r\^2, 2r\) = "):
+            lff_violation("sring-multiplicative", MonoidSpec(SRing(r), max_den=max_den), s=s)
+
+    def test_s_is_rejected_for_additive_targets(self):
+        for target, family in (("conductor", ConductorQ()), ("sring-additive", SRing(F(2)))):
+            with pytest.raises(InvalidArgumentError, match=f"not to {target}$"):
+                lff_violation(target, MonoidSpec(family, max_den=4), s=F(5))
+
     def test_bad_target(self):
         with pytest.raises(InvalidArgumentError):
             lff_violation("nope", MonoidSpec(ConductorQ(), max_den=3))
+
+
+# r -> (count, sha256 prefix of the JSON pair list) of the sring-multiplicative
+# witness at max_den = 6 and the default s: the 48-value grid of
+# TestClassify.test_multiplicative_default_s_over_r_grid, then r = 50, 100, 300.
+MULTIPLICATIVE_PAIRS_AT_6 = {
+    "7/6": (3, "b2c02a6e4e4cd346"),
+    "6/5": (3, "0f1c97a125ed8005"),
+    "5/4": (3, "e011acdd283aba8f"),
+    "4/3": (5, "065680e4520f2ba7"),
+    "7/5": (6, "6827336d09221b3e"),
+    "3/2": (8, "9b5adebd74d3e4e2"),
+    "8/5": (10, "ea9f1cbb3c1b36e8"),
+    "5/3": (12, "5663de79501ff0e1"),
+    "7/4": (13, "3a34ba62f5c9e9e4"),
+    "9/5": (15, "5722de3afec824ff"),
+    "11/6": (16, "c1dc7324e6426a81"),
+    "2": (18, "f9856caca416ef8c"),
+    "13/6": (18, "5a905d58e63d0304"),
+    "11/5": (17, "b1bc9e3ec55c8c47"),
+    "9/4": (17, "e3e330d8e89f783f"),
+    "7/3": (16, "883d2a270de32d06"),
+    "12/5": (15, "9668edafe80a3568"),
+    "5/2": (12, "13b91492edb0c7f7"),
+    "13/5": (11, "ad497dc982074cf5"),
+    "8/3": (10, "5b091e0bb572a47a"),
+    "11/4": (6, "f5d2be6513b4977e"),
+    "14/5": (6, "15dc2f0994cfb4ce"),
+    "17/6": (5, "d8a38e380be300bd"),
+    "3": (29, "27629e5ce5b2bfa4"),
+    "19/6": (31, "3bd577df44d48a0c"),
+    "16/5": (31, "00b02e8ae0bc87be"),
+    "13/4": (32, "3c1df4768cf8812e"),
+    "10/3": (30, "8e09587f1393071b"),
+    "17/5": (33, "82ce2a3175e89292"),
+    "7/2": (34, "cdfd2bc992d80cad"),
+    "18/5": (36, "e58a34470ffc0751"),
+    "11/3": (38, "e82ede8f188a3bab"),
+    "15/4": (38, "5e0595fc5780fcaf"),
+    "19/5": (38, "f5e61a324b8733c3"),
+    "23/6": (39, "18eb020273034e3c"),
+    "4": (36, "6e89abe02f683a2a"),
+    "25/6": (41, "fd56c5dbd6a0d6e3"),
+    "21/5": (42, "0bbe3d7155d7f52d"),
+    "17/4": (42, "979b8f8b1e47d809"),
+    "13/3": (42, "9b8a2028e29feefd"),
+    "22/5": (44, "09b7926630aebee6"),
+    "9/2": (45, "0950b8c779b51e20"),
+    "23/5": (45, "48a6edcb99addb95"),
+    "14/3": (42, "ab2fa5dcd7dfeae8"),
+    "19/4": (46, "d8578a7cf7a4cc55"),
+    "24/5": (46, "f071ced895e65e95"),
+    "29/6": (47, "6a63472d389999b0"),
+    "5": (47, "ee7676a3e3f5e097"),
+    "50": (487, "07c7ebf801b21466"),
+    "100": (975, "29fdee40f043cee9"),
+    "300": (2923, "26b6435fec16d3c8"),
+}
 
 
 class TestFfmDivisorBound:

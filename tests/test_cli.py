@@ -218,6 +218,15 @@ class TestCheckCommands:
         report = json.loads(proc.stdout)
         assert proc.returncode == 0 and report["verified"] is True
 
+    def test_check_lff_rejects_an_s_no_witness_reads(self, capsys):
+        # the additive witnesses read no s; for s >= min(r^2, 2r) no bound finds a pair
+        argv = ("check", "lff", "--no-cache", "--family")
+        assert main([*argv, "conductor", "--max-den", "4", "--s", "5"]) == 1
+        err = "error: s applies to the sring-multiplicative witness only, not to conductor\n"
+        assert capsys.readouterr() == ("", err)
+        assert main([*argv, "sring", "--r", "3", "--max-den", "30", "--structure", "multiplicative", "--s", "7"]) == 1
+        assert capsys.readouterr() == ("", "error: s must lie strictly between r = 3 and min(r^2, 2r) = 6, got 7\n")
+
     def test_check_ffm_bound(self):
         proc = run_cli(
             "check", "ffm-bound", "--family", "alternating", "--k", "10", "--x", "11/6"

@@ -18,9 +18,7 @@ from posmon.factorize import (
     completeness_certificate,
     enumerate_factorizations,
     factorizations_of_length,
-    is_irredundant_pair,
     length_set,
-    maximal_irredundant_subset,
 )
 from posmon.monoids import (
     Alternating,
@@ -46,7 +44,7 @@ class TestFactorizationType:
         z = Factorization.from_atoms([3, 2, 2, 2])
         assert z.length == 4
         assert z.value == 9
-        assert z.support == {F(2), F(3)}
+        assert {a for a, _ in z.parts} == {F(2), F(3)}
         assert z.expanded() == (F(2), F(2), F(2), F(3))
 
     def test_invalid_parts(self):
@@ -152,62 +150,6 @@ class TestCompletenessCertificate:
     def test_alternating_unavailable(self):
         with pytest.raises(CertificateUnavailableError):
             completeness_certificate(MonoidSpec(Alternating(), k=5), F(11, 6), 2)
-
-
-class TestIrredundant:
-    def test_pair_examples(self):
-        z33 = Factorization.from_atoms([3, 3])
-        z222 = Factorization.from_atoms([2, 2, 2])
-        z23 = Factorization.from_atoms([2, 3])
-        assert is_irredundant_pair(z33, z222)
-        assert not is_irredundant_pair(z23, z222)
-        assert is_irredundant_pair(
-            Factorization.from_atoms([F(3, 2), F(3, 2)]),
-            Factorization.from_atoms([F(4, 3), F(5, 3)]),
-        )
-
-    def test_maximal_subset_unit_fractions(self):
-        zs = [
-            Factorization.from_atoms([F(1, 2)] * 2),
-            Factorization.from_atoms([F(1, 3)] * 3),
-            Factorization.from_atoms([F(1, 5)] * 5),
-        ]
-        assert maximal_irredundant_subset(zs) == sorted(zs, key=lambda z: z.expanded())
-
-    def test_maximal_subset_mixed_values_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            maximal_irredundant_subset(
-                [Factorization.from_atoms([2, 2, 3]), Factorization.from_atoms([2, 3, 3])]
-            )
-
-    def test_already_irredundant(self):
-        zs = [Factorization.from_atoms([3, 3]), Factorization.from_atoms([2, 2, 2])]
-        assert set(maximal_irredundant_subset(zs)) == set(zs)
-
-    def test_postcondition_on_overlapping_set(self):
-        zs = [z for z in enumerate_factorizations(E23, 12)]
-        subset = maximal_irredundant_subset(zs)
-        for z in zs:
-            assert any(z.support & c.support for c in subset)
-
-    def test_decreasing_family_slices_stay_irredundant_finite(self):
-        # length slices over decreasing families: the greedy maximal subset is
-        # finite, pairwise disjoint, and dominates the whole slice
-        for spec, x, ell in (
-            (MonoidSpec(Grams(), k=6), F(2, 3), 2),
-            (MonoidSpec(UnitFractionPrimes(), k=4), F(1), 7),
-            (MonoidSpec(PowerOf(F(2, 3)), k=6), F(2), 2),
-        ):
-            zs = list(factorizations_of_length(spec, x, ell))
-            if not zs:
-                continue
-            subset = maximal_irredundant_subset(zs)
-            assert len(subset) <= len(zs)
-            for i, a in enumerate(subset):
-                for b in subset[i + 1 :]:
-                    assert is_irredundant_pair(a, b)
-            for z in zs:
-                assert any(z.support & c.support for c in subset)
 
 
 class TestOracleEquivalence:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_atoms, naive_member
+from oracles import naive_atoms, naive_member, naive_multiplicative_atom
 from posmon.errors import (
     HypothesisViolatedError,
     InvalidArgumentError,
@@ -234,6 +234,23 @@ class TestMultiplicativeAtoms:
             is_multiplicative_atom(spec, F(1))
         with pytest.raises(NotAMemberError):
             is_multiplicative_atom(spec, F(3, 2))
+        with pytest.raises(InvalidArgumentError, match="positive part"):
+            is_multiplicative_atom(spec, F(-2))
+        with pytest.raises(InvalidArgumentError, match="defined for the sring family"):
+            is_multiplicative_atom(MonoidSpec(ConductorQ(), max_den=4), F(3, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(F, st.integers(2, 60), st.integers(1, 6)).filter(lambda r: r > 1),
+        st.builds(F, st.integers(2, 300), st.integers(1, 8)).filter(lambda x: x > 1),
+    )
+    def test_closed_form_matches_the_prime_loop(self, r, x):
+        spec = MonoidSpec(SRing(r), max_den=4)
+        if not spec.family.membership(x)[0]:
+            return
+        verdict = is_multiplicative_atom(spec, x)
+        assert (verdict.is_atom, verdict.detail) == naive_multiplicative_atom(r, x)
+        assert verdict.method == "closed-form"
 
 
 class TestFamilyConfig:

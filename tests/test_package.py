@@ -1,10 +1,13 @@
-"""The package's lazy exports and the modules each entry point loads."""
+"""The package's lazy exports, the modules each entry point loads, and where
+the source may test for a family class."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,7 @@ EXPORTS = {
     "factorize": (
         "COMPLETE", "COMPLETE_FOR_LENGTH", "TRUNCATION_BOUNDED", "Factorization", "QueryResult",
         "completeness_certificate", "enumerate_factorizations", "factorizations_of_length",
-        "is_irredundant_pair", "length_set", "maximal_irredundant_subset",
+        "length_set",
     ),
     "monoids": (
         "Alternating", "ConductorQ", "Explicit", "GeneratorFamily", "Grams", "MonoidSpec", "PowerOf",
@@ -98,3 +101,35 @@ def test_cli_resolves_runner_imports_without_caching_them():
     assert "enumerate_factorizations" not in vars(posmon.cli)
     with pytest.raises(AttributeError):
         posmon.cli.no_such_name
+
+
+def _class_checks(node, scope: str, classes: set):
+    """(scope, class name) for each isinstance or issubclass call below node
+    that names one of classes; scope is the dotted module, class and function path."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _class_checks(child, f"{scope}.{child.name}", classes)
+            continue
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) in ("isinstance", "issubclass"):
+            for ref in ast.walk(child.args[-1]):
+                name = ref.id if isinstance(ref, ast.Name) else ref.attr if isinstance(ref, ast.Attribute) else None
+                if name in classes:
+                    yield scope, name
+        yield from _class_checks(child, scope, classes)
+
+
+def test_no_isinstance_names_a_family_class():
+    # A family's closed forms are read from its own class data, never picked
+    # by testing its class; the alternating divisor bound is the one exception.
+    from posmon import monoids
+
+    families = {
+        name
+        for name, obj in vars(monoids).items()
+        if isinstance(obj, type) and issubclass(obj, monoids.GeneratorFamily)
+    }
+    assert {"GeneratorFamily", "_Dense", "SRing", "Alternating"} <= families
+    found = []
+    for path in sorted(Path(posmon.__file__).parent.glob("*.py")):
+        found += _class_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem, families)
+    assert found == [("certificates.ffm_divisor_bound_alternating", "Alternating")]
